@@ -118,13 +118,74 @@ def error_sum(
     return total
 
 
+_D2_GROUP = 64  # rows per group in the pair-pruning pass of _l2_diameter
+
+
 def _l2_diameter(pts: np.ndarray, chunk: int = 256) -> float:
-    """Exact max pairwise 2-norm distance, chunked to bound memory."""
+    """Exact max pairwise 2-norm distance; close to O(n d) on trajectories.
+
+    The value is the largest Gram-formula squared distance
+    sq_i + sq_j - 2 p_i.p_j, where row i's products come from the matrix
+    product of its `chunk`-row block against all points: the full O(n**2)
+    scan, bit for bit.  Only the rows that can hold that maximum get their
+    block product:
+
+    1. Rows that cannot reach a known distance are dropped.  With c the
+       bounding-box midpoint and r_i = ||p_i - c||, no distance from p_i
+       exceeds r_i + max_j r_j.
+    2. The rest, in order, form groups of _D2_GROUP rows.  Pairs of groups
+       whose bounding boxes are too close are skipped; the other pairs give
+       every row its largest distance, up to rounding.
+    3. Rows within rounding of the largest are evaluated as in the full
+       scan.  A row's rounding depends on the shape of the product it is
+       computed in, so only step 3 decides the returned bits.
+
+    Every comparison is widened by a bound on the rounding error of the
+    Gram formula in any summation order, so no row holding the maximum is
+    ever dropped.
+    """
+    n, d = pts.shape
     sq = np.einsum("ij,ij->i", pts, pts)
+    off = pts - 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    r = np.sqrt(np.einsum("ij,ij->i", off, off))
+    k = int(np.argmax(r))
+    lower = float(np.max(sq[k] + sq - 2.0 * (pts @ pts[k])))
+    # Every computed squared distance is within err of the exact one, in
+    # any summation order, and a computed bound is within the factor widen.
+    # So `lower` exceeds the full scan's maximum M by at most 2 err, and the
+    # pair holding M has an exact distance, hence a widened bound, >= M - err.
+    eps = np.finfo(np.float64).eps
+    err = 4.0 * (d + 2) * eps * float(sq.max())
+    widen = 1.0 + 4.0 * (d + 5) * eps
+
+    def may_reach(bound_sq):
+        # written as "not below" so that NaN bounds are kept
+        return ~(bound_sq * widen + 3.0 * err < lower)
+
+    live = np.flatnonzero(may_reach((r + r[k]) ** 2))
+    starts = np.arange(0, len(live), _D2_GROUP)
+    box_lo = np.minimum.reduceat(pts[live], starts)
+    box_hi = np.maximum.reduceat(pts[live], starts)
+    row_max = np.full(n, -np.inf)
+    for a, start in enumerate(starts):
+        far = np.maximum(box_hi[a] - box_lo[a:], box_hi[a:] - box_lo[a])
+        partners = a + np.flatnonzero(may_reach(np.einsum("ij,ij->i", far, far)))
+        if len(partners) == 0:
+            continue
+        rows = live[start:start + _D2_GROUP]
+        cols = np.concatenate([live[starts[b]:starts[b] + _D2_GROUP] for b in partners])
+        block = sq[rows, None] + sq[None, cols] - 2.0 * (pts[rows] @ pts[cols].T)
+        row_max[rows] = np.maximum(row_max[rows], block.max(axis=1))
+        row_max[cols] = np.maximum(row_max[cols], block.max(axis=0))
+        lower = max(lower, float(block.max()))
+
+    # The row holding M reaches M - 2 err here; no row exceeds M + 2 err.
+    top = np.flatnonzero(~(row_max < row_max.max() - 4.0 * err))
     best = 0.0
-    for lo in range(0, len(pts), chunk):
-        hi = min(lo + chunk, len(pts))
-        block = sq[lo:hi, None] + sq[None, :] - 2.0 * (pts[lo:hi] @ pts.T)
+    for lo in np.unique(top // chunk) * chunk:
+        rows = top[(top >= lo) & (top < lo + chunk)]
+        gram = pts[lo:lo + chunk] @ pts.T
+        block = sq[rows, None] + sq[None, :] - 2.0 * gram[rows - lo]
         best = max(best, float(block.max()))
     return math.sqrt(max(best, 0.0))
 
@@ -512,30 +573,36 @@ def write_counterexample(path: str | Path, rec: CounterexampleRecord) -> None:
 
 def load_counterexample(path: str | Path) -> CounterexampleRecord:
     kv = parse_kv_text(Path(path).read_text())
+
+    def get(key: str) -> str:
+        if key not in kv:
+            raise ValueError(f"{path}: counterexample record is missing key {key!r}")
+        return kv[key]
+
     params = HyperParams(
-        eta=float(kv["eta"]),
-        beta1=float(kv["beta1"]),
-        beta2=float(kv["beta2"]),
-        lam=float(kv["lambda"]),
-        epsilon=float(kv["epsilon"]),
-        alpha=float(kv["alpha"]),
+        eta=float(get("eta")),
+        beta1=float(get("beta1")),
+        beta2=float(get("beta2")),
+        lam=float(get("lambda")),
+        epsilon=float(get("epsilon")),
+        alpha=float(get("alpha")),
     )
-    T, d = int(kv["T"]), int(kv["d"])
+    T, d = int(get("T")), int(get("d"))
     g = np.array(
-        [[float(c) for c in kv[f"g{t + 1}"].split(",")] for t in range(T)]
+        [[float(c) for c in get(f"g{t + 1}").split(",")] for t in range(T)]
     ).reshape(T, d)
     return CounterexampleRecord(
-        label=kv["label"],
+        label=get("label"),
         params=params,
         T=T,
         d=d,
         g=g,
-        g_inf_cap=float(kv["g_inf_cap"]),
-        rhs_coeff=float(kv["rhs_coeff"]),
-        lhs=np.array([float(c) for c in kv["lhs"].split(",")]),
-        rhs=np.array([float(c) for c in kv["rhs"].split(",")]),
-        min_slack=float(kv["min_slack"]),
-        exact_min_slack=float(kv["exact_min_slack"]),
+        g_inf_cap=float(get("g_inf_cap")),
+        rhs_coeff=float(get("rhs_coeff")),
+        lhs=np.array([float(c) for c in get("lhs").split(",")]),
+        rhs=np.array([float(c) for c in get("rhs").split(",")]),
+        min_slack=float(get("min_slack")),
+        exact_min_slack=float(get("exact_min_slack")),
     )
 
 

@@ -177,6 +177,8 @@ def load_run_config(
         seed = int(kv["seed"]) if seed_override is None else int(seed_override)
     except ValueError as err:
         raise ConfigError(f"{path}: bad seed: {err}")
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{path}: seed must lie in [0, 2**64), got {seed}")
 
     spec_path = Path(kv["problem_spec"])
     if not spec_path.is_absolute():
@@ -356,6 +358,12 @@ def cmd_fuzz(
     """Run the inequality fuzzer; writes fuzz_summary.txt and a
     counterexamples/ directory (possibly empty).  Returns 10 when a
     confirmed violation was found, else 0: violations are findings."""
+    if trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {trials}")
+    if tmax < 1 or d < 1:
+        raise ConfigError(f"tmax and d must be >= 1, got tmax={tmax}, d={d}")
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     grid = default_fuzz_grid() if grid is None else grid
     out = Path(out_dir)
     summary = conjecture_fuzz(trials, tmax, d, grid, seed, out_dir=out)

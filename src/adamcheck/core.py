@@ -25,6 +25,8 @@ __all__ = [
     "GradSequence",
     "RandomStream",
     "seeded_rng",
+    "philox_raw",
+    "box_muller",
     "record_step",
     "trajectory_to_csv",
     "trajectory_from_csv",
@@ -122,13 +124,7 @@ class RandomStream:
     def standard_normal(self, size: int | None = None):
         """Standard normals via the Box-Muller transform."""
         n = 1 if size is None else int(size)
-        pairs = (n + 1) // 2
-        w = self.raw(2 * pairs) >> np.uint64(11)
-        u1 = (w[:pairs].astype(np.float64) + 1.0) * _U53  # (0, 1]: log-safe
-        u2 = w[pairs:] * _U53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        z = box_muller(self.raw(2 * ((n + 1) // 2)))[:n]
         return float(z[0]) if size is None else z
 
     def integers(self, n: int, size: int | None = None):
@@ -143,6 +139,70 @@ class RandomStream:
 def seeded_rng(seed: int, stream: int = STREAM_MAIN) -> RandomStream:
     """Deterministic random stream for (seed, stream)."""
     return RandomStream(seed, stream)
+
+
+def box_muller(words: np.ndarray) -> np.ndarray:
+    """Standard normals from raw words along the last axis, (..., 2p).
+
+    The first p words give the radius uniforms on (0, 1], the last p the
+    angle uniforms on [0, 1); the result holds the p cosine normals followed
+    by the p sine normals.  This is the one conversion behind every normal
+    draw in the library.
+    """
+    w = words >> np.uint64(11)
+    p = w.shape[-1] // 2
+    u1 = (w[..., :p].astype(np.float64) + 1.0) * _U53  # (0, 1]: log-safe
+    u2 = w[..., p:] * _U53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
+# Philox4x64-10 constants (Salmon et al., SC'11): round multipliers and the
+# Weyl key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, with the
+    high word assembled from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m) & _LO32, np.uint64(m) >> _HALF
+    x_lo, x_hi = x & _LO32, x >> _HALF
+    lh = x_lo * m_hi
+    hl = x_hi * m_lo
+    mid = ((x_lo * m_lo) >> _HALF) + (lh & _LO32) + (hl & _LO32)
+    hi = x_hi * m_hi + (lh >> _HALF) + (hl >> _HALF) + (mid >> _HALF)
+    return hi, x * np.uint64(m)
+
+
+def philox_raw(seed: int, streams, n: int) -> np.ndarray:
+    """Words 0..n-1 of many Philox4x64-10 streams at once.
+
+    Row k holds the same words as ``RandomStream(seed, streams[k]).raw(n)``.
+    The generator is counter-based: word j of a stream is word j % 4 of the
+    block for counter j // 4 + 1 under the key (seed, stream), so every
+    word is computed directly, without stepping a generator.
+    """
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit in 64 bits")
+    if n < 0:
+        raise ValueError("word count must be nonnegative")
+    keys = np.asarray(streams, dtype=np.uint64).reshape(-1, 1)
+    blocks = (n + 3) // 4
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(keys), blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
+        k1 = keys + np.uint64((r * _PHILOX_W[1]) & _MASK64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), 4 * blocks)[:, :n]
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +232,9 @@ class HyperParams:
     alpha: float = 0.9
 
     def __post_init__(self):
+        for name in ("eta", "beta1", "beta2", "lam", "epsilon", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if not 0 < self.beta1 < 1:

@@ -23,7 +23,9 @@ from .core import (
     AdamCheckError,
     NumericInputError,
     STREAM_NOISE_BASE,
+    box_muller,
     parse_kv_text,
+    philox_raw,
     seeded_rng,
 )
 
@@ -164,11 +166,35 @@ def random_noisy_quadratic(seed: int, d: int, mu: float = 0.1, noise_scale: floa
     return noisy_quadratic_problem(_random_psd(seed, d, mu), seed, noise_scale)
 
 
-@lru_cache(maxsize=1 << 16)
-def _center(noise_seed: int, d: int, noise_scale: float, t: int) -> np.ndarray:
-    c = noise_scale * seeded_rng(noise_seed, STREAM_NOISE_BASE + t).standard_normal(d)
-    c.setflags(write=False)
-    return c
+# Centers are drawn in blocks of this many steps; per-step evaluation keeps
+# the last few blocks, so sequential sweeps over t draw every center once.
+_CENTER_BLOCK = 4096
+_CENTER_MEMO_BLOCKS = 4
+
+
+def _centers(noise_seed: int, noise_scale: float, d: int, t_lo: int, t_hi: int) -> np.ndarray:
+    """(t_hi - t_lo, d) array whose row t - t_lo is the center c_t, equal to
+    noise_scale * seeded_rng(noise_seed, STREAM_NOISE_BASE + t).standard_normal(d)."""
+    streams = STREAM_NOISE_BASE + np.arange(t_lo, t_hi, dtype=np.uint64)
+    words = philox_raw(noise_seed, streams, 2 * ((d + 1) // 2))
+    return noise_scale * box_muller(words)[:, :d]
+
+
+@lru_cache(maxsize=_CENTER_MEMO_BLOCKS)
+def _center_block(noise_seed: int, noise_scale: float, d: int, k: int) -> np.ndarray:
+    lo = 1 + k * _CENTER_BLOCK
+    block = _centers(noise_seed, noise_scale, d, lo, lo + _CENTER_BLOCK)
+    block.setflags(write=False)
+    return block
+
+
+def _center_sum(data: NoisyQuadraticData, d: int, T: int) -> np.ndarray:
+    """c_1 + ... + c_T, added in t order as a running sum would."""
+    acc = np.zeros((1, d))
+    for lo in range(1, T + 1, _CENTER_BLOCK):
+        table = _centers(data.noise_seed, data.noise_scale, d, lo, min(lo + _CENTER_BLOCK, T + 1))
+        acc = np.add.accumulate(np.vstack([acc, table]), axis=0)[-1:]
+    return acc[0]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -208,7 +234,8 @@ def evaluate(p: ConvexProblem, w, t: int = 1) -> tuple[float, np.ndarray]:
         return value, grad
 
     if p.kind == "noisy-quadratic":
-        c = _center(p.data.noise_seed, p.d, p.data.noise_scale, t)
+        k, i = divmod(t - 1, _CENTER_BLOCK)
+        c = _center_block(p.data.noise_seed, p.data.noise_scale, p.d, k)[i]
         diff = w - c
         adiff = p.data.a @ diff
         return float(0.5 * diff @ adiff), adiff
@@ -221,17 +248,10 @@ def summed_gradient(p: ConvexProblem, w, T: int) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     if p.kind in ("quadratic", "logistic"):
         return T * evaluate(p, w, 1)[1]
-    total = np.zeros(p.d)
-    for t in range(1, T + 1):
-        total += evaluate(p, w, t)[1]
-    return total
-
-
-def _mean_center(data: NoisyQuadraticData, d: int, T: int) -> np.ndarray:
-    acc = np.zeros(d)
-    for t in range(1, T + 1):
-        acc += _center(data.noise_seed, d, data.noise_scale, t)
-    return acc / T
+    if p.kind == "noisy-quadratic":
+        # sum_t A (w - c_t) = A (T w - sum_t c_t)
+        return p.data.a @ (T * w - _center_sum(p.data, p.d, T))
+    raise ValueError(f"unknown problem kind {p.kind!r}")
 
 
 _ORACLE_TOL = 1e-10
@@ -256,7 +276,7 @@ def minimizer_oracle(p: ConvexProblem, T: int) -> np.ndarray:
     elif p.kind == "noisy-quadratic":
         # First-order condition A * sum(w - c_t) = 0: the center mean is a
         # minimizer for any PSD A.
-        w = _mean_center(p.data, p.d, T)
+        w = _center_sum(p.data, p.d, T) / T
     elif p.kind == "logistic":
         w = _newton_logistic(p, T)
     else:
@@ -371,6 +391,11 @@ def parse_problem_spec(text: str) -> dict:
         "mu": float(raw["mu"]) if "mu" in raw else (1e-4 if kind == "logistic" else 0.1),
         "noise_scale": float(raw.get("noise_scale", 1.0)),
     }
+    if not 0 <= spec["seed"] < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {spec['seed']}")
+    for key in ("mu", "noise_scale"):
+        if not math.isfinite(spec[key]):
+            raise ValueError(f"{key} must be finite, got {spec[key]}")
     if spec["d"] < 1:
         raise ValueError("d must be positive")
     if spec["n_samples"] < 1:

@@ -354,6 +354,15 @@ def test_counterexample_round_trip(tmp_path):
     assert back.min_slack == rec.min_slack
 
 
+def test_load_counterexample_names_missing_key(tmp_path):
+    path = tmp_path / "ce.txt"
+    write_counterexample(path, make_record())
+    text = path.read_text().splitlines()
+    path.write_text("\n".join(ln for ln in text if not ln.startswith("rhs_coeff")) + "\n")
+    with pytest.raises(ValueError, match="missing key 'rhs_coeff'"):
+        load_counterexample(path)
+
+
 def test_replay_counterexample_reproduces_slack(tmp_path):
     rec = make_record()
     path = tmp_path / "ce.txt"

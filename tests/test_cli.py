@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import adamcheck
 from adamcheck.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -238,3 +242,50 @@ def test_load_run_config_seed_and_out_overrides(tmp_path):
     loaded2 = load_run_config(cfg)
     assert loaded2.seed == 1
     assert loaded2.output_dir == Path("somewhere")
+
+
+def test_run_golden_noisy_fixture(tmp_path, fixtures_dir):
+    # Pinned noisy-quadratic run (T = 3000, three horizons): any change to the
+    # bound analysis must leave both reports byte-identical.
+    out = tmp_path / "out"
+    cfg = fixtures_dir / "golden_noisy_run.cfg"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    for name, golden in (("bound_report.csv", "golden_noisy_bound_report.csv"),
+                         ("report.txt", "golden_noisy_report.txt")):
+        assert (out / name).read_bytes() == (fixtures_dir / golden).read_bytes(), name
+
+
+BAD_RUN_CONFIG = "problem_spec = prob.cfg\noptimizer = adam\neta = {eta}\nT = 20\nseed = {seed}\n"
+NAN_MU_SPEC = "kind = quadratic\nd = 3\nseed = 11\nmu = nan\n"
+
+
+@pytest.mark.parametrize(
+    "argv,eta,seed,problem",
+    [
+        (["fuzz", "--trials", "-5", "--tmax", "8", "--seed", "1"], None, None, None),
+        (["fuzz", "--trials", "5", "--tmax", "0", "--seed", "1"], None, None, None),
+        (["fuzz", "--trials", "5", "--tmax", "8", "--seed", "-1"], None, None, None),
+        (["fuzz", "--trials", "5", "--tmax", "8", "--seed", "1", "--grid", "0.9,0.999,nan"],
+         None, None, None),
+        (["run"], "0.1", "-3", QUAD_SPEC),
+        (["run"], "inf", "1", QUAD_SPEC),
+        (["run"], "0.1", "1", NAN_MU_SPEC),
+        (["run"], "0.1", "1", QUAD_SPEC.replace("seed = 11", "seed = -3")),
+        (["race"], "0.1", "18446744073709551616", QUAD_SPEC),
+    ],
+    ids=["fuzz-trials", "fuzz-tmax", "fuzz-seed", "fuzz-grid-nan", "run-seed", "run-eta-inf",
+         "spec-mu-nan", "spec-seed", "race-seed"],
+)
+def test_bad_input_exits_1_with_one_line(tmp_path, argv, eta, seed, problem):
+    if problem is not None:
+        (tmp_path / "prob.cfg").write_text(problem)
+        (tmp_path / "run.cfg").write_text(BAD_RUN_CONFIG.format(eta=eta, seed=seed))
+        argv = argv + ["--config", str(tmp_path / "run.cfg")] * (2 if argv == ["race"] else 1)
+    env = dict(os.environ, PYTHONPATH=str(Path(adamcheck.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adamcheck.cli", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -78,6 +78,9 @@ def test_integers_range():
         {"lam": 1.0},
         {"epsilon": -1e-9},
         {"alpha": 1.0},
+        {"eta": float("inf")},
+        {"epsilon": float("inf")},
+        {"beta1": float("nan")},
     ],
 )
 def test_hyperparams_rejects_out_of_range(kwargs):

@@ -202,6 +202,12 @@ def test_parse_problem_spec_rejects_bad_input():
         parse_problem_spec("kind = quadratic\nd = 2\nseed = 1\nfoo = 1")
     with pytest.raises(ValueError, match="kind"):
         parse_problem_spec("kind = cubic\nd = 2\nseed = 1")
+    with pytest.raises(ValueError, match="mu must be finite"):
+        parse_problem_spec("kind = quadratic\nd = 2\nseed = 1\nmu = nan")
+    with pytest.raises(ValueError, match="noise_scale must be finite"):
+        parse_problem_spec("kind = noisy-quadratic\nd = 2\nseed = 1\nnoise_scale = inf")
+    with pytest.raises(ValueError, match="seed must lie"):
+        parse_problem_spec("kind = quadratic\nd = 2\nseed = -3")
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
