@@ -30,9 +30,12 @@ from .core import (
     HyperParams,
     STREAM_FUZZ_BASE,
     Trajectory,
+    box_muller_polar,
     fmt17,
+    integers_from_words,
     parse_kv_text,
-    seeded_rng,
+    philox_blocks,
+    uniform_from_words,
 )
 from .problems import ConvexProblem, evaluate
 
@@ -298,38 +301,6 @@ def _rhs_coefficient(p: HyperParams) -> float:
     return 2.0 / ((1.0 - p.gamma) * math.sqrt(1.0 - p.beta2))
 
 
-def _sides_f64(
-    g: np.ndarray, p: HyperParams, rhs_coeff: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Double-precision evaluation of both sides for a T x d matrix.
-
-    Runs the moment recursions (no weight update) and accumulates the ratio
-    sum with the 0/0 -> 0 convention: v_hat = 0 forces m_hat = 0.
-    """
-    T, d = g.shape
-    m = np.zeros(d)
-    v = np.zeros(d)
-    b1_pow = 1.0
-    b2_pow = 1.0
-    lam_pow = 1.0
-    lhs = np.zeros(d)
-    for t in range(1, T + 1):
-        gt = g[t - 1]
-        b1t = p.beta1 * lam_pow
-        m = b1t * m + (1.0 - b1t) * gt
-        v = p.beta2 * v + (1.0 - p.beta2) * gt * gt
-        b1_pow *= p.beta1
-        b2_pow *= p.beta2
-        m_hat = m / (1.0 - b1_pow)
-        v_hat = v / (1.0 - b2_pow)
-        denom = np.sqrt(t * v_hat)
-        lhs += np.where(v_hat > 0.0, m_hat * m_hat / np.where(denom > 0.0, denom, 1.0), 0.0)
-        lam_pow *= p.lam
-    coeff = _rhs_coefficient(p) if rhs_coeff is None else rhs_coeff
-    rhs = coeff * np.sqrt(np.sum(g * g, axis=0))
-    return lhs, rhs
-
-
 def conjecture_sides_exact(
     seq: GradSequence,
     p: HyperParams,
@@ -385,7 +356,7 @@ def conjecture_sides(seq: GradSequence, p: HyperParams) -> ConjectureReport:
     An apparent double-precision violation is only reported after it
     survives extended-precision re-evaluation.
     """
-    lhs, rhs = _sides_f64(seq.g, p)
+    lhs, rhs = _sides(seq.g, p)
     min_slack = float(np.min(rhs - lhs)) if len(lhs) else math.inf
     violated = False
     if min_slack < 0.0:
@@ -611,7 +582,7 @@ def replay_counterexample(path: str | Path) -> tuple[CounterexampleRecord, float
     return (record, recomputed min slack) for comparison against the
     recorded value."""
     rec = load_counterexample(path)
-    lhs, rhs = _sides_f64(rec.g, rec.params, rhs_coeff=rec.rhs_coeff)
+    lhs, rhs = _sides(rec.g, rec.params, rhs_coeff=rec.rhs_coeff)
     return rec, float(np.min(rhs - lhs))
 
 
@@ -674,75 +645,179 @@ class FuzzSummary:
         return len(self.violations) > 0
 
 
-def _trial_sequence(
-    seed: int, k: int, t_max: int, d: int, cap: float
-) -> tuple[int, int, np.ndarray]:
-    """(family index, T, T x d gradients) for trial k, fully determined by
-    (seed, k)."""
-    rng = seeded_rng(seed, STREAM_FUZZ_BASE + k)
-    fam = rng.integers(len(FUZZ_FAMILIES))
-    T = 1 + rng.integers(t_max)
+def _ragged(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Concatenation of the ranges [starts[i], starts[i] + counts[i])."""
+    total = int(counts.sum())
+    return np.arange(total) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
+def _trial_words(seed: int, streams: np.ndarray, head: np.ndarray, counts: np.ndarray):
+    """The first counts[i] (>= 1) words of each fuzz stream, flat.
+
+    Returns (words, offsets): word j of stream i is words[offsets[i] + j].
+    `head` holds every stream's first block, which is not drawn again.
+    """
+    blocks = (counts + 3) // 4
+    first = np.cumsum(blocks) - blocks
+    rest = np.ones(int(blocks.sum()), dtype=bool)
+    rest[first] = False
+    out = np.empty((len(rest), 4), dtype=np.uint64)
+    out[first] = head
+    counters = _ragged(blocks - 1, np.full(len(blocks), 2))
+    out[rest] = philox_blocks(seed, np.repeat(streams, blocks - 1), counters)
+    return out.reshape(-1), 4 * first
+
+
+# Words drawn per pass of _trial_batch: bounds its scratch memory, whatever
+# the batch shape, to a few MB.
+_TRIAL_WORDS = 1 << 16
+
+
+def _trial_batch(
+    seed: int, start: int, stop: int, t_max: int, d: int, cap: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(family, T, gradients) of fuzz trials start..stop-1, in array operations.
+
+    Trial k reads the words of stream (seed, STREAM_FUZZ_BASE + k): word 0
+    gives its family, word 1 its horizon T, and the words after them its
+    n = T d gradient entries in row-major order (see README, "Determinism
+    and randomness").  Only the words a trial reads are drawn, each at its
+    computed counter.  Every value is bitwise the value the stream's
+    documented conversions give.  The gradients come back zero-padded in a
+    (count, t_max, d) array whose row b holds trial start + b.
+    """
+    count = stop - start
+    g = np.zeros((count, t_max, d))
+    streams = STREAM_FUZZ_BASE + np.arange(start, stop, dtype=np.uint64)
+    head = philox_blocks(seed, streams, np.ones(count, dtype=np.uint64))
+    fam = integers_from_words(head[:, 0], len(FUZZ_FAMILIES))
+    T = 1 + integers_from_words(head[:, 1], t_max)
     n = T * d
-    if fam == 0:
-        g = rng.uniform(-cap, cap, size=n).reshape(T, d)
-    elif fam == 1:
-        g = np.clip(0.5 * cap * rng.standard_normal(n), -cap, cap).reshape(T, d)
-    elif fam == 2:
-        keep = rng.uniform(0.05, 0.5)
-        values = rng.uniform(-cap, cap, size=n)
-        mask = rng.uniform(size=n) < keep
-        g = (values * mask).reshape(T, d)
-    else:
-        # Long runs of tiny gradients (second moment decays) broken by full
-        # scale spikes late in the sequence: the stress pattern for the
-        # m_hat**2 / sqrt(v_hat) ratio.
-        mag = 10.0 ** rng.uniform(-8.0, -2.0)
-        g = rng.uniform(-mag, mag, size=n).reshape(T, d)
-        n_spikes = 1 + rng.integers(3)
-        for _ in range(n_spikes):
-            pos = T // 2 + rng.integers(max(1, T - T // 2))
-            coord = rng.integers(d)
-            sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            g[min(pos, T - 1), coord] = sign * cap
+    p = (n + 1) // 2
+    # words read per trial; an adversarial trial reads 1 to 3 spike triples
+    counts = np.choose(fam, (2 + n, 2 + 2 * p, 3 + 2 * n, 13 + n))
+    part = (np.cumsum(counts) - counts) // _TRIAL_WORDS
+    flat = g.reshape(-1)
+    for rows in np.split(np.arange(count), np.flatnonzero(np.diff(part)) + 1):
+        words, off = _trial_words(seed, streams[rows], head[rows], counts[rows])
+        for f in range(len(FUZZ_FAMILIES)):
+            sel = fam[rows] == f
+            if np.any(sel):
+                _fill_family(flat, f, words, off[sel], rows[sel] * (t_max * d),
+                             T[rows[sel]], d, cap)
     return fam, T, g
 
 
+def _fill_family(
+    flat: np.ndarray, f: int, words: np.ndarray, off: np.ndarray, base: np.ndarray,
+    T: np.ndarray, d: int, cap: float,
+) -> None:
+    """Write the gradients of trials of family f into a flat batch: trial i
+    reads word j at words[off[i] + j], and its entry j goes to
+    flat[base[i] + j].  Conversions follow `RandomStream` operation by
+    operation, so the values agree bit for bit."""
+    n = T * d
+    span = cap - -cap
+
+    def uniforms(counts, first):
+        return uniform_from_words(words[_ragged(counts, first)])
+
+    if f == 0:
+        flat[_ragged(n, base)] = -cap + span * uniforms(n, off + 2)
+    elif f == 1:
+        # pair q: radius word 2 + q, angle word 2 + p + q; the cosine normal
+        # is entry q, the sine normal entry p + q when that is below n
+        p = (n + 1) // 2
+        r, theta = box_muller_polar(words[_ragged(p, off + 2)], words[_ragged(p, off + 2 + p)])
+        flat[_ragged(p, base)] = np.clip(0.5 * cap * (r * np.cos(theta)), -cap, cap)
+        sines = np.clip(0.5 * cap * (r * np.sin(theta)), -cap, cap)
+        keep = _ragged(p, np.zeros_like(p)) < np.repeat(n - p, p)
+        flat[_ragged(p, base + p)[keep]] = sines[keep]
+    elif f == 2:
+        keep = 0.05 + (0.5 - 0.05) * uniform_from_words(words[off + 2])
+        values = -cap + span * uniforms(n, off + 3)
+        mask = uniforms(n, off + 3 + n) < np.repeat(keep, n)
+        flat[_ragged(n, base)] = values * mask  # keeps the -0.0 entries
+    else:
+        # Long runs of tiny gradients (second moment decays) broken by full
+        # scale spikes late in the sequence: the stress pattern for the
+        # m_hat**2 / sqrt(v_hat) ratio.  The magnitude is one scalar libm
+        # pow per trial, as in the stream's conversion: numpy's vector
+        # power can differ in the last bit.
+        exps = -8.0 + (-2.0 - -8.0) * uniform_from_words(words[off + 2])
+        mag = np.array([10.0 ** x for x in exps.tolist()])
+        flat[_ragged(n, base)] = np.repeat(-mag, n) + np.repeat(mag - -mag, n) * uniforms(n, off + 3)
+        n_spikes = 1 + integers_from_words(words[off + 3 + n], 3)
+        half = T // 2
+        for s in range(3):  # in order: a later spike overwrites an earlier one
+            w = off + 4 + n + 3 * s
+            pos = np.minimum(half + integers_from_words(words[w], np.maximum(1, T - half)), T - 1)
+            coord = integers_from_words(words[w + 1], d)
+            sign = np.where(uniform_from_words(words[w + 2]) < 0.5, 1.0, -1.0)
+            live = n_spikes > s
+            flat[(base + pos * d + coord)[live]] = (sign * cap)[live]
+
+
 def _batch_sides(
-    g: np.ndarray, t_arr: np.ndarray, params: list[HyperParams]
+    g: np.ndarray,
+    t_arr: np.ndarray,
+    params: list[HyperParams],
+    rhs_coeff: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized double-precision sides for a batch of trials.
 
-    g is (B, t_max, d) zero-padded beyond each trial's horizon; the ratio
-    sum only accumulates while t <= T_b, and the zero padding leaves the
-    gradient-history norms untouched.
+    Runs the moment recursions (no weight update) and accumulates the ratio
+    sum with the 0/0 -> 0 convention: v_hat = 0 forces m_hat = 0.  g is
+    (B, t_max, d) zero-padded beyond each trial's horizon; the ratio sum
+    only accumulates while t <= T_b, and the zero padding leaves the
+    gradient-history norms untouched.  `rhs_coeff` replaces the canonical
+    coefficient of every trial.
     """
     b, t_max, d = g.shape
-    beta1 = np.array([p.beta1 for p in params])[:, None]
-    beta2 = np.array([p.beta2 for p in params])[:, None]
-    lam = np.array([p.lam for p in params])[:, None]
-    coeff = np.array([_rhs_coefficient(p) for p in params])[:, None]
+    if len(set(params)) == 1:
+        # one parameter set: the per-step coefficients are plain floats,
+        # with the same IEEE products as a column of equal entries
+        beta1, beta2, lam = params[0].beta1, params[0].beta2, params[0].lam
+    else:
+        beta1 = np.array([p.beta1 for p in params])[:, None]
+        beta2 = np.array([p.beta2 for p in params])[:, None]
+        lam = np.array([p.lam for p in params])[:, None]
+    if rhs_coeff is None:
+        coeff = np.array([_rhs_coefficient(p) for p in params])[:, None]
+    else:
+        coeff = np.full((b, 1), rhs_coeff)
 
+    one_minus_beta2 = 1.0 - beta2
     m = np.zeros((b, d))
     v = np.zeros((b, d))
-    b1_pow = np.ones((b, 1))
-    b2_pow = np.ones((b, 1))
-    lam_pow = np.ones((b, 1))
+    b1_pow = b2_pow = lam_pow = 1.0
     lhs = np.zeros((b, d))
+    all_live = int(np.min(t_arr, initial=t_max))  # steps every trial takes
     for t in range(1, t_max + 1):
         gt = g[:, t - 1, :]
         b1t = beta1 * lam_pow
         m = b1t * m + (1.0 - b1t) * gt
-        v = beta2 * v + (1.0 - beta2) * gt * gt
+        v = beta2 * v + one_minus_beta2 * gt * gt
         b1_pow = b1_pow * beta1
         b2_pow = b2_pow * beta2
         m_hat = m / (1.0 - b1_pow)
         v_hat = v / (1.0 - b2_pow)
         denom = np.sqrt(t * v_hat)
-        term = np.where(v_hat > 0.0, m_hat * m_hat / np.where(denom > 0.0, denom, 1.0), 0.0)
-        lhs += np.where((t_arr >= t)[:, None], term, 0.0)
+        # t >= 1, so denom > 0 exactly where v_hat > 0
+        live = denom > 0.0
+        term = np.where(live, m_hat * m_hat / np.where(live, denom, 1.0), 0.0)
+        lhs += term if t <= all_live else np.where((t_arr >= t)[:, None], term, 0.0)
         lam_pow = lam_pow * lam
     rhs = coeff * np.sqrt(np.sum(g * g, axis=1))
     return lhs, rhs
+
+
+def _sides(
+    g: np.ndarray, p: HyperParams, rhs_coeff: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Double-precision sides of one T x d matrix: the batch of one."""
+    lhs, rhs = _batch_sides(g[None], np.array([len(g)]), [p], rhs_coeff)
+    return lhs[0], rhs[0]
 
 
 def _escalate(
@@ -763,7 +838,7 @@ def _escalate(
     )
     if outcome != "confirmed":
         return
-    lhs, rhs = _sides_f64(seq.g, params, rhs_coeff=rhs_coeff)
+    lhs, rhs = _sides(seq.g, params, rhs_coeff=rhs_coeff)
     record = CounterexampleRecord(
         label=label,
         params=params,
@@ -836,7 +911,7 @@ def conjecture_fuzz(
         (out_path / "counterexamples").mkdir(parents=True, exist_ok=True)
 
     for cand in injected or []:
-        lhs, rhs = _sides_f64(cand.seq.g, cand.params, rhs_coeff=cand.rhs_coeff)
+        lhs, rhs = _sides(cand.seq.g, cand.params, rhs_coeff=cand.rhs_coeff)
         slack = rhs - lhs
         if np.any(slack < screen_factor * rhs):
             _escalate(
@@ -849,19 +924,10 @@ def conjecture_fuzz(
     n_grid = len(param_grid)
     for start in range(0, n_trials, batch_size):
         stop = min(start + batch_size, n_trials)
-        count = stop - start
-        g = np.zeros((count, t_max, d))
-        t_arr = np.empty(count, dtype=np.int64)
-        batch_params: list[HyperParams] = []
-        fams = np.empty(count, dtype=np.int64)
-        for j, k in enumerate(range(start, stop)):
-            fam, T, gk = _trial_sequence(seed, k, t_max, d, g_inf_cap)
-            fams[j] = fam
-            t_arr[j] = T
-            g[j, :T, :] = gk
-            batch_params.append(param_grid[k % n_grid])
-            summary.family_counts[FUZZ_FAMILIES[fam]] += 1
-
+        fams, t_arr, g = _trial_batch(seed, start, stop, t_max, d, g_inf_cap)
+        batch_params = [param_grid[k % n_grid] for k in range(start, stop)]
+        for f, c in enumerate(np.bincount(fams, minlength=len(FUZZ_FAMILIES))):
+            summary.family_counts[FUZZ_FAMILIES[f]] += int(c)
         lhs, rhs = _batch_sides(g, t_arr, batch_params)
         slack = rhs - lhs
 
@@ -870,6 +936,7 @@ def conjecture_fuzz(
         if trial_min[j_best] < summary.min_slack:
             summary.min_slack = float(trial_min[j_best])
             argmin_trial = start + j_best
+            argmin_g = g[j_best, :t_arr[j_best], :].copy()  # not a view: frees the batch
 
         positive = rhs > 0.0
         if np.any(positive):
@@ -891,10 +958,9 @@ def conjecture_fuzz(
             )
 
     if argmin_trial >= 0:
-        fam, T, gk = _trial_sequence(seed, argmin_trial, t_max, d, g_inf_cap)
         summary.argmin_label = f"trial{argmin_trial}"
         summary.argmin_params = param_grid[argmin_trial % n_grid]
-        summary.argmin_seq = GradSequence(d=d, g=gk, g_inf_cap=g_inf_cap)
+        summary.argmin_seq = GradSequence(d=d, g=argmin_g, g_inf_cap=g_inf_cap)
     if argmin_rel_trial >= 0:
         summary.argmin_rel_label = f"trial{argmin_rel_trial}"
     return summary

@@ -432,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except UnboundedMinimizerError as err:
         print(f"unbounded minimizer: {err}", file=sys.stderr)
         return EXIT_UNBOUNDED
+    except MemoryError as err:
+        print(f"out of memory: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

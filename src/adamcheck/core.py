@@ -26,7 +26,11 @@ __all__ = [
     "RandomStream",
     "seeded_rng",
     "philox_raw",
+    "philox_blocks",
     "box_muller",
+    "box_muller_polar",
+    "uniform_from_words",
+    "integers_from_words",
     "record_step",
     "trajectory_to_csv",
     "trajectory_from_csv",
@@ -117,8 +121,7 @@ class RandomStream:
     def uniform(self, low: float = 0.0, high: float = 1.0, size: int | None = None):
         """Uniform doubles on [low, high)."""
         n = 1 if size is None else int(size)
-        u = (self.raw(n) >> np.uint64(11)) * _U53
-        out = low + (high - low) * u
+        out = low + (high - low) * uniform_from_words(self.raw(n))
         return float(out[0]) if size is None else out
 
     def standard_normal(self, size: int | None = None):
@@ -131,8 +134,7 @@ class RandomStream:
         """Uniform integers on {0, ..., n-1} via floor(u * n)."""
         if n <= 0:
             raise ValueError("n must be positive")
-        u = self.uniform(size=1 if size is None else size)
-        out = np.minimum((np.asarray(u) * n).astype(np.int64), n - 1)
+        out = integers_from_words(self.raw(1 if size is None else int(size)), n)
         return int(out[0]) if size is None else out
 
 
@@ -141,21 +143,37 @@ def seeded_rng(seed: int, stream: int = STREAM_MAIN) -> RandomStream:
     return RandomStream(seed, stream)
 
 
+def uniform_from_words(words: np.ndarray) -> np.ndarray:
+    """Uniform doubles on [0, 1) from raw words: ``(raw64 >> 11) * 2**-53``."""
+    return (words >> np.uint64(11)) * _U53
+
+
+def integers_from_words(words: np.ndarray, n) -> np.ndarray:
+    """Integers on {0, ..., n-1} from raw words: ``floor(uniform * n)``;
+    n may be one count per word."""
+    return np.minimum((uniform_from_words(words) * n).astype(np.int64), n - 1)
+
+
 def box_muller(words: np.ndarray) -> np.ndarray:
     """Standard normals from raw words along the last axis, (..., 2p).
 
     The first p words give the radius uniforms on (0, 1], the last p the
     angle uniforms on [0, 1); the result holds the p cosine normals followed
     by the p sine normals.  This is the one conversion behind every normal
-    draw in the library.
+    draw in the library; `box_muller_polar` is its elementwise half.
     """
-    w = words >> np.uint64(11)
-    p = w.shape[-1] // 2
-    u1 = (w[..., :p].astype(np.float64) + 1.0) * _U53  # (0, 1]: log-safe
-    u2 = w[..., p:] * _U53
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
+    p = words.shape[-1] // 2
+    r, theta = box_muller_polar(words[..., :p], words[..., p:])
     return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
+def box_muller_polar(
+    radius_words: np.ndarray, angle_words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(r, theta) of the Box-Muller pairs formed by matching radius and
+    angle words; the normals are r * cos(theta) and r * sin(theta)."""
+    u1 = ((radius_words >> np.uint64(11)).astype(np.float64) + 1.0) * _U53  # (0, 1]: log-safe
+    return np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * uniform_from_words(angle_words)
 
 
 # Philox4x64-10 constants (Salmon et al., SC'11): round multipliers and the
@@ -166,6 +184,9 @@ _PHILOX_ROUNDS = 10
 _MASK64 = (1 << 64) - 1
 _LO32 = np.uint64(0xFFFFFFFF)
 _HALF = np.uint64(32)
+# Blocks per pass of the round loop: the temporaries of a pass stay in
+# cache, and the scratch memory stays bounded whatever the block count.
+_PHILOX_CHUNK = 8192
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,6 +201,34 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x * np.uint64(m)
 
 
+def philox_blocks(seed: int, streams, counters) -> np.ndarray:
+    """Philox4x64-10 output blocks for (stream, counter) pairs, (N, 4).
+
+    Row i is the block for counter counters[i] under the key
+    (seed, streams[i]): words 4 (c - 1) .. 4 c - 1 of
+    ``RandomStream(seed, streams[i])``.  Counters start at 1.
+    """
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit in 64 bits")
+    keys, ctrs = np.broadcast_arrays(
+        np.asarray(streams, dtype=np.uint64).reshape(-1),
+        np.asarray(counters, dtype=np.uint64).reshape(-1),
+    )
+    out = np.empty((len(ctrs), 4), dtype=np.uint64)
+    for lo in range(0, len(ctrs), _PHILOX_CHUNK):
+        key = keys[lo:lo + _PHILOX_CHUNK]
+        c0 = ctrs[lo:lo + _PHILOX_CHUNK]
+        c1 = c2 = c3 = np.zeros_like(c0)
+        for r in range(_PHILOX_ROUNDS):
+            k0 = np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
+            k1 = key + np.uint64((r * _PHILOX_W[1]) & _MASK64)
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        out[lo:lo + _PHILOX_CHUNK] = np.stack([c0, c1, c2, c3], axis=-1)
+    return out
+
+
 def philox_raw(seed: int, streams, n: int) -> np.ndarray:
     """Words 0..n-1 of many Philox4x64-10 streams at once.
 
@@ -188,21 +237,13 @@ def philox_raw(seed: int, streams, n: int) -> np.ndarray:
     block for counter j // 4 + 1 under the key (seed, stream), so every
     word is computed directly, without stepping a generator.
     """
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError("seed must fit in 64 bits")
     if n < 0:
         raise ValueError("word count must be nonnegative")
-    keys = np.asarray(streams, dtype=np.uint64).reshape(-1, 1)
+    keys = np.asarray(streams, dtype=np.uint64).reshape(-1)
     blocks = (n + 3) // 4
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(keys), blocks))
-    c1 = c2 = c3 = np.zeros_like(c0)
-    for r in range(_PHILOX_ROUNDS):
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
-        k1 = keys + np.uint64((r * _PHILOX_W[1]) & _MASK64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(keys), 4 * blocks)[:, :n]
+    counters = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(keys))
+    words = philox_blocks(seed, np.repeat(keys, blocks), counters)
+    return words.reshape(len(keys), 4 * blocks)[:, :n]
 
 
 # ---------------------------------------------------------------------------

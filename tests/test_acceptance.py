@@ -31,9 +31,9 @@ from adamcheck.problems import (
 )
 from adamcheck.analysis import (
     FuzzCandidate,
-    _sides_f64,
     average_regret_series,
     conjecture_fuzz,
+    conjecture_sides,
     default_fuzz_grid,
     geometric_sum_bound_check,
     geometric_sum_closed_form,
@@ -257,7 +257,7 @@ def test_criterion_6_conjecture_probe(tmp_path):
         g = seeded_rng(87).uniform(-1.0, 1.0, size=32).reshape(32, 1)
         p = grid[0]
         seq = GradSequence(d=1, g=g, g_inf_cap=1.0)
-        lhs, _ = _sides_f64(np.asarray(seq.g), p)
+        lhs = conjecture_sides(seq, p).lhs
         bad_coeff = float(lhs[0]) / float(np.linalg.norm(g)) * 0.25
         injected = conjecture_fuzz(
             0, 32, 1, grid, seed=1,

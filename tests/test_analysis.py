@@ -19,8 +19,8 @@ from adamcheck.analysis import (
     InsufficientDataError,
     _batch_sides,
     _rhs_coefficient,
-    _sides_f64,
-    _trial_sequence,
+    _sides,
+    _trial_batch,
     average_regret_series,
     conjecture_fuzz,
     conjecture_sides,
@@ -203,9 +203,10 @@ def test_batch_engine_matches_reference_sides():
         params.append(grid[j % len(grid)])
     lhs_batch, rhs_batch = _batch_sides(g, t_arr, params)
     for j in range(count):
-        lhs_ref, rhs_ref = _sides_f64(g[j, : t_arr[j], :], params[j])
-        assert lhs_batch[j] == pytest.approx(lhs_ref, rel=1e-13, abs=1e-300)
-        assert rhs_batch[j] == pytest.approx(rhs_ref, rel=1e-13, abs=1e-300)
+        seq = GradSequence(d=d, g=g[j, : t_arr[j], :], g_inf_cap=1.0)
+        lhs_x, rhs_x, _ = conjecture_sides_exact(seq, params[j])
+        assert lhs_batch[j] == pytest.approx([float(v) for v in lhs_x], rel=1e-12, abs=1e-300)
+        assert rhs_batch[j] == pytest.approx([float(v) for v in rhs_x], rel=1e-12, abs=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +335,7 @@ def make_record(label="unit", rhs_coeff=None):
     g = rng.uniform(-1.0, 1.0, size=12).reshape(6, 2)
     p = HyperParams(beta1=0.9, beta2=0.999, lam=0.99)
     coeff = _rhs_coefficient(p) if rhs_coeff is None else rhs_coeff
-    lhs, rhs = _sides_f64(g, p, rhs_coeff=coeff)
+    lhs, rhs = _sides(g, p, rhs_coeff=coeff)
     return CounterexampleRecord(
         label=label, params=p, T=6, d=2, g=g, g_inf_cap=1.0, rhs_coeff=coeff,
         lhs=lhs, rhs=rhs, min_slack=float(np.min(rhs - lhs)),
@@ -415,7 +416,7 @@ def test_fuzz_injected_synthetic_violation_is_detected(tmp_path):
     g = rng.uniform(-1.0, 1.0, size=24).reshape(24, 1)
     p = HyperParams(beta1=0.9, beta2=0.999, lam=0.999)
     seq = GradSequence(d=1, g=g, g_inf_cap=1.0)
-    lhs, _ = _sides_f64(np.asarray(seq.g), p)
+    lhs = conjecture_sides(seq, p).lhs
     tiny_coeff = float(lhs[0]) / float(np.linalg.norm(g)) * 0.5
     cand = FuzzCandidate(label="synthetic", params=p, seq=seq, rhs_coeff=tiny_coeff)
 
@@ -454,7 +455,7 @@ def test_fuzz_near_miss_is_escalated_and_cleared(tmp_path):
     g = rng.uniform(-1.0, 1.0, size=16).reshape(16, 1)
     p = HyperParams(beta1=0.9, beta2=0.999, lam=0.999)
     seq = GradSequence(d=1, g=g, g_inf_cap=1.0)
-    lhs, _ = _sides_f64(np.asarray(seq.g), p)
+    lhs = conjecture_sides(seq, p).lhs
     norm = float(np.linalg.norm(g))
     coeff = float(lhs[0]) / norm * (1.0 + 5e-7)  # slack ~ 5e-7 * rhs
     cand = FuzzCandidate(label="near", params=p, seq=seq, rhs_coeff=coeff)
@@ -491,14 +492,13 @@ def test_report_serializers():
 
 
 def test_fuzz_trial_sequences_respect_cap_and_families():
-    seen = set()
-    for k in range(200):
-        fam, T, g = _trial_sequence(seed=11, k=k, t_max=32, d=2, cap=1.0)
-        seen.add(fam)
-        assert 1 <= T <= 32
-        assert g.shape == (T, 2)
-        assert np.max(np.abs(g)) <= 1.0
-    assert seen == {0, 1, 2, 3}
+    fam, T, g = _trial_batch(seed=11, start=0, stop=200, t_max=32, d=2, cap=1.0)
+    assert set(fam.tolist()) == {0, 1, 2, 3}
+    assert g.shape == (200, 32, 2)
+    assert np.all((1 <= T) & (T <= 32))
+    assert np.max(np.abs(g)) <= 1.0
+    for gk, Tk in zip(g, T):
+        assert not np.any(gk[Tk:])
 
 
 def test_default_grids_satisfy_gamma_hypothesis():

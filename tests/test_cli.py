@@ -171,6 +171,17 @@ def test_fuzz_smoke_and_determinism(tmp_path):
     assert _tree_bytes(out1) == _tree_bytes(out2)
 
 
+def test_fuzz_golden_fixture(tmp_path, fixtures_dir):
+    # Pinned fuzz run at d = 3, so the spike coordinates are exercised: any
+    # change to trial generation or the batched sides must leave the
+    # summary byte-identical.
+    out = tmp_path / "out"
+    argv = ["fuzz", "--trials", "4000", "--tmax", "40", "--d", "3", "--seed", "20260812"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    golden = fixtures_dir / "golden_fuzz_summary.txt"
+    assert (out / "fuzz_summary.txt").read_bytes() == golden.read_bytes()
+
+
 def test_fuzz_rejects_invalid_grid(tmp_path, capsys):
     # 0.99**2 / sqrt(0.5) = 1.386 > 1
     argv = [
@@ -267,13 +278,15 @@ NAN_MU_SPEC = "kind = quadratic\nd = 3\nseed = 11\nmu = nan\n"
         (["fuzz", "--trials", "5", "--tmax", "8", "--seed", "-1"], None, None, None),
         (["fuzz", "--trials", "5", "--tmax", "8", "--seed", "1", "--grid", "0.9,0.999,nan"],
          None, None, None),
+        # a 72.8 TiB batch: the allocation fails when it is requested
+        (["fuzz", "--trials", "10", "--tmax", "1000000000000", "--seed", "1"], None, None, None),
         (["run"], "0.1", "-3", QUAD_SPEC),
         (["run"], "inf", "1", QUAD_SPEC),
         (["run"], "0.1", "1", NAN_MU_SPEC),
         (["run"], "0.1", "1", QUAD_SPEC.replace("seed = 11", "seed = -3")),
         (["race"], "0.1", "18446744073709551616", QUAD_SPEC),
     ],
-    ids=["fuzz-trials", "fuzz-tmax", "fuzz-seed", "fuzz-grid-nan", "run-seed", "run-eta-inf",
+    ids=["fuzz-trials", "fuzz-tmax", "fuzz-seed", "fuzz-grid-nan", "fuzz-tmax-memory", "run-seed", "run-eta-inf",
          "spec-mu-nan", "spec-seed", "race-seed"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, argv, eta, seed, problem):

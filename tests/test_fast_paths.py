@@ -1,13 +1,33 @@
 """Each vectorized path is bitwise equal to the reference path it replaces."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adamcheck.analysis import _l2_diameter
-from adamcheck.core import STREAM_NOISE_BASE, RandomStream, box_muller, philox_raw, seeded_rng
+from adamcheck import analysis
+from adamcheck.analysis import (
+    FUZZ_FAMILIES,
+    _batch_sides,
+    _l2_diameter,
+    _rhs_coefficient,
+    _sides,
+    _trial_batch,
+    default_fuzz_grid,
+)
+from adamcheck.core import (
+    _PHILOX_CHUNK,
+    STREAM_FUZZ_BASE,
+    STREAM_NOISE_BASE,
+    HyperParams,
+    RandomStream,
+    box_muller,
+    philox_blocks,
+    philox_raw,
+    seeded_rng,
+)
 from adamcheck.problems import (
     _CENTER_BLOCK,
     _center_sum,
@@ -34,6 +54,23 @@ def test_philox_raw_matches_stream_words(seed, streams, n):
     assert words.shape == (len(streams), n)
     for row, stream in zip(words, streams):
         assert np.array_equal(row, RandomStream(seed, stream).raw(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=EDGE_U64, pairs=st.lists(st.tuples(EDGE_U64, st.integers(1, 40)), min_size=1, max_size=6))
+def test_philox_blocks_match_stream_words_at_any_counter(seed, pairs):
+    streams, counters = zip(*pairs)
+    blocks = philox_blocks(seed, np.array(streams, dtype=np.uint64), counters)
+    assert blocks.shape == (len(pairs), 4)
+    for row, (stream, c) in zip(blocks, pairs):
+        assert np.array_equal(row, RandomStream(seed, stream).raw(4 * c)[4 * c - 4:])
+
+
+def test_philox_raw_crosses_kernel_chunks():
+    # more blocks than one pass of the round loop holds
+    n = 4 * (3 * _PHILOX_CHUNK + 5) - 3
+    for seed, stream in ((0, 0), (2 ** 64 - 1, STREAM_FUZZ_BASE + 7)):
+        assert np.array_equal(philox_raw(seed, [stream], n)[0], RandomStream(seed, stream).raw(n))
 
 
 def test_philox_raw_rejects_out_of_range_seed():
@@ -165,3 +202,139 @@ def test_pruned_diameter_identical_points():
 def test_pruned_diameter_long_walk():
     # 20 000 points: the pair pruning, not the full scan, does the work here
     _assert_same_diameter(_cloud(11, 20000, 5, "walk"))
+
+
+# ---------------------------------------------------------------------------
+# fuzz trials: the batched generator against one RandomStream per trial
+# ---------------------------------------------------------------------------
+
+def _trial_sequence(seed, k, t_max, d, cap, spikes=None):
+    """Reference: trial k drawn from its own stream, one conversion at a
+    time.  Appends the (row, coordinate, value) of each spike to `spikes`."""
+    rng = seeded_rng(seed, STREAM_FUZZ_BASE + k)
+    fam = rng.integers(len(FUZZ_FAMILIES))
+    T = 1 + rng.integers(t_max)
+    n = T * d
+    if fam == 0:
+        g = rng.uniform(-cap, cap, size=n).reshape(T, d)
+    elif fam == 1:
+        g = np.clip(0.5 * cap * rng.standard_normal(n), -cap, cap).reshape(T, d)
+    elif fam == 2:
+        keep = rng.uniform(0.05, 0.5)
+        values = rng.uniform(-cap, cap, size=n)
+        mask = rng.uniform(size=n) < keep
+        g = (values * mask).reshape(T, d)
+    else:
+        mag = 10.0 ** rng.uniform(-8.0, -2.0)
+        g = rng.uniform(-mag, mag, size=n).reshape(T, d)
+        n_spikes = 1 + rng.integers(3)
+        for _ in range(n_spikes):
+            pos = T // 2 + rng.integers(max(1, T - T // 2))
+            coord = rng.integers(d)
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            g[min(pos, T - 1), coord] = sign * cap
+            if spikes is not None:
+                spikes.append((min(pos, T - 1), coord, sign * cap))
+    return fam, T, g
+
+
+def _assert_batch_matches_reference(seed, start, stop, t_max, d, cap):
+    fam, T, g = _trial_batch(seed, start, stop, t_max, d, cap)
+    assert g.shape == (stop - start, t_max, d)
+    for b, k in enumerate(range(start, stop)):
+        f, Tk, gk = _trial_sequence(seed, k, t_max, d, cap)
+        assert (fam[b], T[b]) == (f, Tk)
+        # byte comparison: -0.0 entries of sparse trials must survive
+        assert g[b, :Tk].tobytes() == gk.tobytes()
+        assert not np.any(g[b, Tk:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=EDGE_U64, start=st.one_of(st.just(0), st.integers(0, 2 ** 40)),
+       count=st.integers(1, 24), t_max=st.integers(1, 300), d=st.integers(1, 6),
+       cap=st.sampled_from([1.0, 0.25, 3.0, 1e-3, 7.5e5]),
+       words_per_pass=st.sampled_from([4, 37, 1 << 16]))
+def test_trial_batch_matches_per_trial_streams(seed, start, count, t_max, d, cap, words_per_pass):
+    # small passes split the batch between trials, so every pass boundary
+    # and trial order is exercised
+    with mock.patch.object(analysis, "_TRIAL_WORDS", words_per_pass):
+        _assert_batch_matches_reference(seed, start, start + count, t_max, d, cap)
+
+
+def test_trial_batch_sweep_covers_families_and_spike_collisions():
+    seed, trials, t_max, d, cap = 20260812, 600, 12, 2, 0.75
+    _assert_batch_matches_reference(seed, 0, trials, t_max, d, cap)
+    families, three, clash = set(), 0, 0
+    for k in range(trials):
+        spikes = []
+        fam, _, _ = _trial_sequence(seed, k, t_max, d, cap, spikes)
+        families.add(fam)
+        three += len(spikes) == 3
+        cells = {}
+        for row, coord, value in spikes:
+            clash += cells.get((row, coord), value) != value  # later spike overwrites
+            cells[row, coord] = value
+    assert families == set(range(len(FUZZ_FAMILIES)))
+    assert three > 0 and clash > 0
+
+
+# ---------------------------------------------------------------------------
+# inequality sides: the batch kernel at B = 1 against the single recursion
+# ---------------------------------------------------------------------------
+
+def _sides_f64(g, p, rhs_coeff=None):
+    """Reference: the moment recursions of one T x d matrix, step by step."""
+    T, d = g.shape
+    m = np.zeros(d)
+    v = np.zeros(d)
+    b1_pow = b2_pow = lam_pow = 1.0
+    lhs = np.zeros(d)
+    for t in range(1, T + 1):
+        gt = g[t - 1]
+        b1t = p.beta1 * lam_pow
+        m = b1t * m + (1.0 - b1t) * gt
+        v = p.beta2 * v + (1.0 - p.beta2) * gt * gt
+        b1_pow *= p.beta1
+        b2_pow *= p.beta2
+        m_hat = m / (1.0 - b1_pow)
+        v_hat = v / (1.0 - b2_pow)
+        denom = np.sqrt(t * v_hat)
+        lhs += np.where(v_hat > 0.0, m_hat * m_hat / np.where(denom > 0.0, denom, 1.0), 0.0)
+        lam_pow *= p.lam
+    coeff = _rhs_coefficient(p) if rhs_coeff is None else rhs_coeff
+    return lhs, coeff * np.sqrt(np.sum(g * g, axis=0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 300), d=st.integers(1, 5),
+       grid_index=st.integers(0, len(default_fuzz_grid()) - 1),
+       rhs_coeff=st.one_of(st.none(), st.floats(1e-3, 1e3)))
+def test_single_sides_match_step_recursion(seed, T, d, grid_index, rhs_coeff):
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(-1.0, 1.0, size=(T, d)) * 10.0 ** rng.uniform(-8, 0, size=d)
+    g[:, rng.random(d) < 0.3] = 0.0  # zero columns: the 0/0 -> 0 convention
+    g[rng.random((T, d)) < 0.2] = 0.0
+    grid = default_fuzz_grid()
+    p = grid[grid_index]
+    lhs_ref, rhs_ref = _sides_f64(g, p, rhs_coeff)
+    lhs, rhs = _sides(g, p, rhs_coeff)
+    assert lhs.tobytes() == lhs_ref.tobytes()
+    assert rhs.tobytes() == rhs_ref.tobytes()
+    # in a batch with another parameter set and a shorter, zero-padded
+    # trial, the coefficients are columns and the short trial stops at T2
+    other = grid[(grid_index + 1) % len(grid)]
+    T2 = 1 + seed % T
+    short = np.zeros_like(g)
+    short[:T2] = g[:T2]
+    lhs2, rhs2 = _batch_sides(np.stack([g, short]), np.array([T, T2]), [p, other], rhs_coeff)
+    assert lhs2[0].tobytes() == lhs_ref.tobytes()
+    assert rhs2[0].tobytes() == rhs_ref.tobytes()
+    lhs_short, rhs_short = _sides_f64(g[:T2], other, rhs_coeff)
+    assert lhs2[1].tobytes() == lhs_short.tobytes()
+    # the zero padding regroups numpy's pairwise sum of squares
+    assert rhs2[1] == pytest.approx(rhs_short, rel=1e-14, abs=0.0)
+
+
+def test_single_sides_of_empty_sequence():
+    lhs, rhs = _sides(np.zeros((0, 3)), HyperParams())
+    assert lhs.tolist() == rhs.tolist() == [0.0, 0.0, 0.0]
