@@ -69,11 +69,13 @@ __all__ = [
     "replay_counterexample",
     "EXACT_PRECISION_BITS",
     "DEFAULT_SCREEN_FACTOR",
+    "FUZZ_BATCH",
     "FUZZ_FAMILIES",
 ]
 
 EXACT_PRECISION_BITS = 200      # significand bits for escalated re-evaluation
 DEFAULT_SCREEN_FACTOR = 1e-6    # near-miss when slack < factor * rhs
+FUZZ_BATCH = 2048               # fuzz trials evaluated per (B, t_max, d) batch
 
 
 class InsufficientDataError(AdamCheckError):
@@ -775,8 +777,10 @@ def _batch_sides(
     """
     b, t_max, d = g.shape
     if len(set(params)) == 1:
-        # one parameter set: the per-step coefficients are plain floats,
-        # with the same IEEE products as a column of equal entries
+        # one parameter set (every B = 1 call): plain-float coefficients
+        # give the same IEEE products as a column of equal entries, and
+        # save the seven small array operations per step that made B = 1
+        # calls about 1.4x slower
         beta1, beta2, lam = params[0].beta1, params[0].beta2, params[0].lam
     else:
         beta1 = np.array([p.beta1 for p in params])[:, None]
@@ -792,7 +796,6 @@ def _batch_sides(
     v = np.zeros((b, d))
     b1_pow = b2_pow = lam_pow = 1.0
     lhs = np.zeros((b, d))
-    all_live = int(np.min(t_arr, initial=t_max))  # steps every trial takes
     for t in range(1, t_max + 1):
         gt = g[:, t - 1, :]
         b1t = beta1 * lam_pow
@@ -806,7 +809,7 @@ def _batch_sides(
         # t >= 1, so denom > 0 exactly where v_hat > 0
         live = denom > 0.0
         term = np.where(live, m_hat * m_hat / np.where(live, denom, 1.0), 0.0)
-        lhs += term if t <= all_live else np.where((t_arr >= t)[:, None], term, 0.0)
+        lhs += np.where((t_arr >= t)[:, None], term, 0.0)
         lam_pow = lam_pow * lam
     rhs = coeff * np.sqrt(np.sum(g * g, axis=1))
     return lhs, rhs
@@ -871,7 +874,7 @@ def conjecture_fuzz(
     out_dir: str | Path | None = None,
     injected: list[FuzzCandidate] | None = None,
     g_inf_cap: float = 1.0,
-    batch_size: int = 2048,
+    batch_size: int = FUZZ_BATCH,
 ) -> FuzzSummary:
     """Randomized search for violations of the moment-ratio inequality.
 

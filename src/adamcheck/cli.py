@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    FUZZ_BATCH,
     average_regret_series,
     bound_report_text,
     bound_reports_csv,
@@ -364,9 +365,17 @@ def cmd_fuzz(
         raise ConfigError(f"tmax and d must be >= 1, got tmax={tmax}, d={d}")
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    # a (batch, tmax, d) float64 array must fit numpy's byte-size limit;
+    # below it, a batch beyond the memory the system grants fails to allocate
+    batch_bytes = min(trials, FUZZ_BATCH) * tmax * d * 8
+    if batch_bytes > np.iinfo(np.intp).max:
+        raise ConfigError(f"a fuzz batch of {batch_bytes} bytes exceeds numpy's array size limit")
     grid = default_fuzz_grid() if grid is None else grid
     out = Path(out_dir)
-    summary = conjecture_fuzz(trials, tmax, d, grid, seed, out_dir=out)
+    try:
+        summary = conjecture_fuzz(trials, tmax, d, grid, seed, out_dir=out)
+    except MemoryError as err:
+        raise ConfigError(f"a fuzz batch of {batch_bytes} bytes cannot be allocated: {err}") from err
     out.mkdir(parents=True, exist_ok=True)
     (out / "fuzz_summary.txt").write_text(fuzz_summary_text(summary))
     return EXIT_VIOLATION if summary.violation_found else EXIT_OK
@@ -432,9 +441,6 @@ def main(argv: list[str] | None = None) -> int:
     except UnboundedMinimizerError as err:
         print(f"unbounded minimizer: {err}", file=sys.stderr)
         return EXIT_UNBOUNDED
-    except MemoryError as err:
-        print(f"out of memory: {err}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

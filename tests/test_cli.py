@@ -278,15 +278,19 @@ NAN_MU_SPEC = "kind = quadratic\nd = 3\nseed = 11\nmu = nan\n"
         (["fuzz", "--trials", "5", "--tmax", "8", "--seed", "-1"], None, None, None),
         (["fuzz", "--trials", "5", "--tmax", "8", "--seed", "1", "--grid", "0.9,0.999,nan"],
          None, None, None),
-        # a 72.8 TiB batch: the allocation fails when it is requested
-        (["fuzz", "--trials", "10", "--tmax", "1000000000000", "--seed", "1"], None, None, None),
+        # a 320 TB batch: above any user address space, so the allocation
+        # fails when it is requested, whatever the overcommit policy
+        (["fuzz", "--trials", "10", "--tmax", "4000000000000", "--seed", "1"], None, None, None),
+        # a batch above numpy's array size limit, rejected before allocation
+        (["fuzz", "--trials", "10", "--tmax", str(2 ** 62), "--seed", "1"], None, None, None),
         (["run"], "0.1", "-3", QUAD_SPEC),
         (["run"], "inf", "1", QUAD_SPEC),
         (["run"], "0.1", "1", NAN_MU_SPEC),
         (["run"], "0.1", "1", QUAD_SPEC.replace("seed = 11", "seed = -3")),
         (["race"], "0.1", "18446744073709551616", QUAD_SPEC),
     ],
-    ids=["fuzz-trials", "fuzz-tmax", "fuzz-seed", "fuzz-grid-nan", "fuzz-tmax-memory", "run-seed", "run-eta-inf",
+    ids=["fuzz-trials", "fuzz-tmax", "fuzz-seed", "fuzz-grid-nan", "fuzz-tmax-memory",
+         "fuzz-tmax-size", "run-seed", "run-eta-inf",
          "spec-mu-nan", "spec-seed", "race-seed"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, argv, eta, seed, problem):
