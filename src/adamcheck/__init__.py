@@ -9,10 +9,8 @@ from .core import (
     HyperParams,
     NumericInputError,
     RandomStream,
-    SequencingError,
     StepRecord,
     Trajectory,
-    record_step,
     seeded_rng,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -32,7 +30,6 @@ from .problems import (
     UnboundedMinimizerError,
     convexity_gap,
     evaluate,
-    load_problem,
     logistic_problem,
     minimizer_oracle,
     noisy_quadratic_problem,

@@ -49,8 +49,6 @@ __all__ = [
     "bound_report_text",
     "conjecture_sides",
     "conjecture_sides_exact",
-    "conjecture_report_csv",
-    "conjecture_report_text",
     "geometric_sum_closed_form",
     "geometric_sum_bound_check",
     "vhat_bound_check",
@@ -116,10 +114,10 @@ def error_sum(
     if len(w_star) != traj.d:
         raise ValueError(f"w_star has length {len(w_star)}, trajectory d={traj.d}")
     total = 0.0
-    for rec in traj.records:
-        if math.isnan(rec.e):
-            raise ValueError(f"record t={rec.t} carries no objective value")
-        total += rec.e - evaluate(problem, w_star, rec.t)[0]
+    for t, e in enumerate(traj.e.tolist(), start=1):
+        if math.isnan(e):
+            raise ValueError(f"step t={t} carries no objective value")
+        total += e - evaluate(problem, w_star, t)[0]
     return total
 
 
@@ -203,7 +201,7 @@ def theorem_bound(traj: Trajectory, w_star, problem: ConvexProblem) -> BoundRepo
     gradients.  term2 is T-free; term1 uses the final v_hat; term3 uses the
     per-coordinate gradient-history norms.
     """
-    if not traj.records:
+    if traj.T == 0:
         raise ValueError("trajectory is empty")
     p = traj.params
     T, d = traj.T, traj.d
@@ -211,15 +209,15 @@ def theorem_bound(traj: Trajectory, w_star, problem: ConvexProblem) -> BoundRepo
 
     regret = error_sum(traj, problem, w_star)
 
-    pts = np.vstack([traj.iterates(), w_star])
+    pts = np.vstack([traj.w, w_star])
     d_inf = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
     d_2 = _l2_diameter(pts)
 
-    grads = traj.gradients()
+    grads = traj.g
     g_inf = float(np.max(np.abs(grads))) if grads.size else 0.0
     g_2 = float(np.max(np.linalg.norm(grads, axis=1))) if grads.size else 0.0
 
-    v_hat_final = traj.records[-1].v_hat
+    v_hat_final = traj.v_hat[-1]
     term1 = d_inf ** 2 / (2.0 * p.eta * (1.0 - p.beta1)) * float(
         np.sum(np.sqrt(T * v_hat_final))
     )
@@ -367,28 +365,6 @@ def conjecture_sides(seq: GradSequence, p: HyperParams) -> ConjectureReport:
     return ConjectureReport(lhs=lhs, rhs=rhs, min_slack=min_slack, violated=violated)
 
 
-def conjecture_report_csv(r: ConjectureReport) -> str:
-    lines = ["i,lhs,rhs,slack"]
-    for i in range(len(r.lhs)):
-        lines.append(
-            f"{i + 1},{fmt17(r.lhs[i])},{fmt17(r.rhs[i])},{fmt17(r.rhs[i] - r.lhs[i])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def conjecture_report_text(r: ConjectureReport) -> str:
-    lines = [
-        f"coordinates       : {len(r.lhs)}",
-        f"min slack         : {fmt17(r.min_slack)}",
-        f"violated          : {r.violated}",
-    ]
-    for i in range(len(r.lhs)):
-        lines.append(
-            f"  i={i + 1}: lhs={fmt17(r.lhs[i])} rhs={fmt17(r.rhs[i])}"
-        )
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Auxiliary chains used by the bound's derivation
 # ---------------------------------------------------------------------------
@@ -421,15 +397,13 @@ def vhat_bound_check(traj: Trajectory, g_inf: float, rel_tol: float = 1e-12) -> 
     Precondition: every recorded |g[t, i]| <= g_inf; a violation of the
     precondition is an error naming the offending (t, i).
     """
-    for rec in traj.records:
-        over = np.abs(rec.g) > g_inf
-        if np.any(over):
-            i = int(np.argmax(over))
-            raise ValueError(
-                f"|g| = {abs(rec.g[i])} exceeds declared bound {g_inf} at (t={rec.t}, i={i + 1})"
-            )
-    limit = g_inf * (1.0 + rel_tol)
-    return all(bool(np.all(np.sqrt(rec.v_hat) <= limit)) for rec in traj.records)
+    over = np.abs(traj.g) > g_inf
+    if np.any(over):
+        t, i = np.argwhere(over)[0]
+        raise ValueError(
+            f"|g| = {abs(traj.g[t, i])} exceeds declared bound {g_inf} at (t={t + 1}, i={i + 1})"
+        )
+    return bool(np.all(np.sqrt(traj.v_hat) <= g_inf * (1.0 + rel_tol)))
 
 
 def average_regret_series(
@@ -796,11 +770,14 @@ def _batch_sides(
     v = np.zeros((b, d))
     b1_pow = b2_pow = lam_pow = 1.0
     lhs = np.zeros((b, d))
+    sumsq = np.zeros((b, d))
     for t in range(1, t_max + 1):
         gt = g[:, t - 1, :]
         b1t = beta1 * lam_pow
         m = b1t * m + (1.0 - b1t) * gt
         v = beta2 * v + one_minus_beta2 * gt * gt
+        # in t order, so zero padding adds exact zeros after the last step
+        sumsq += gt * gt
         b1_pow = b1_pow * beta1
         b2_pow = b2_pow * beta2
         m_hat = m / (1.0 - b1_pow)
@@ -811,7 +788,7 @@ def _batch_sides(
         term = np.where(live, m_hat * m_hat / np.where(live, denom, 1.0), 0.0)
         lhs += np.where((t_arr >= t)[:, None], term, 0.0)
         lam_pow = lam_pow * lam
-    rhs = coeff * np.sqrt(np.sum(g * g, axis=1))
+    rhs = coeff * np.sqrt(sumsq)
     return lhs, rhs
 
 

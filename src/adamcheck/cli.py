@@ -7,9 +7,7 @@ minimizer, 10 confirmed inequality violation found by the fuzzer.
 
 from __future__ import annotations
 
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +28,6 @@ from .core import (
     DivisionHazardError,
     HyperParams,
     NumericInputError,
-    Trajectory,
     fmt17,
     parse_kv_text,
     seeded_rng,
@@ -58,8 +55,6 @@ __all__ = [
     "EXIT_NUMERIC",
     "EXIT_UNBOUNDED",
     "EXIT_VIOLATION",
-    "THREADS_ENV_VAR",
-    "worker_count",
 ]
 
 EXIT_OK = 0
@@ -68,26 +63,11 @@ EXIT_NUMERIC = 2
 EXIT_UNBOUNDED = 3
 EXIT_VIOLATION = 10
 
-# Single documented override for CLI parallelism (race members run in a
-# thread pool of this size; results are merged in config order).
-THREADS_ENV_VAR = "ADAMCHECK_THREADS"
-
 OPTIMIZERS = ("gd", "momentum", "adam")
 
 
 class ConfigError(AdamCheckError):
     """Invalid or inconsistent configuration input."""
-
-
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1, got {n}")
-    return n
 
 
 @dataclass
@@ -238,6 +218,19 @@ def _config_echo(config: RunConfig) -> list[str]:
     return lines
 
 
+def _run_horizon(T: int, d: int, run):
+    """Return run(), an optimizer run of T steps in dimension d.  A horizon
+    whose (T+1, d) float64 iterates exceed numpy's array size limit, or
+    cannot be allocated, is a config error."""
+    nbytes = (T + 1) * d * 8
+    if nbytes > np.iinfo(np.intp).max:
+        raise ConfigError(f"T={T} needs a {nbytes}-byte array, beyond numpy's array size limit")
+    try:
+        return run()
+    except MemoryError as err:
+        raise ConfigError(f"the arrays of T={T} steps cannot be allocated: {err}") from err
+
+
 def cmd_run(config: RunConfig) -> int:
     """Run the adaptive optimizer, evaluate the regret bound at every
     requested horizon, and write trajectory.csv, bound_report.csv, and
@@ -250,14 +243,16 @@ def cmd_run(config: RunConfig) -> int:
     problem = problem_from_spec(config.problem_spec)
     w0 = _initial_weights(config.seed, problem.d)
     oracle = lambda w, t: evaluate(problem, w, t)
-    traj = adam_run(w0, oracle, config.params, config.T, progress=_progress)
+    traj = _run_horizon(
+        config.T, problem.d,
+        lambda: adam_run(w0, oracle, config.params, config.T, progress=_progress),
+    )
 
     horizons = config.t_schedule or [config.T]
     reports = []
     for h in horizons:
-        prefix = Trajectory(d=traj.d, params=traj.params, records=traj.records[:h])
         w_star = minimizer_oracle(problem, h)
-        reports.append(theorem_bound(prefix, w_star, problem))
+        reports.append(theorem_bound(traj.prefix(h), w_star, problem))
 
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -285,8 +280,7 @@ def _race_member(config: RunConfig, problem) -> np.ndarray:
     oracle = lambda w, t: evaluate(problem, w, t)
     p = config.params
     if config.optimizer == "adam":
-        traj = adam_run(w0, oracle, p, config.T, progress=_progress)
-        return np.array([rec.e for rec in traj.records])
+        return adam_run(w0, oracle, p, config.T, progress=_progress).e
     if config.optimizer == "gd":
         values, _ = gd_run(w0, oracle, p.eta, config.T)
         return values
@@ -314,8 +308,9 @@ def cmd_race(configs: list[RunConfig], out_dir: str | Path | None = None) -> int
         labels.append(config.optimizer if n == 0 else f"{config.optimizer}#{n + 1}")
 
     problem = problem_from_spec(first.problem_spec)
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        series = list(pool.map(lambda c: _race_member(c, problem), configs))
+    series = _run_horizon(
+        first.T, problem.d, lambda: [_race_member(c, problem) for c in configs]
+    )
 
     lines = ["step,optimizer,objective_value"]
     for label, values in zip(labels, series):

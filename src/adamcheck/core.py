@@ -1,4 +1,4 @@
-"""Shared domain types, deterministic randomness, and trajectory recording.
+"""Shared domain types, deterministic randomness, and trajectory storage.
 
 All vector quantities are dense 1-D float64 arrays of a fixed dimension d.
 Randomness everywhere in the library flows through :class:`RandomStream`,
@@ -9,13 +9,12 @@ experiment is reproducible from a 64-bit seed alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "AdamCheckError",
-    "SequencingError",
     "NumericInputError",
     "DivisionHazardError",
     "HyperParams",
@@ -31,7 +30,6 @@ __all__ = [
     "box_muller_polar",
     "uniform_from_words",
     "integers_from_words",
-    "record_step",
     "trajectory_to_csv",
     "trajectory_from_csv",
     "fmt17",
@@ -44,10 +42,6 @@ __all__ = [
 
 class AdamCheckError(Exception):
     """Base class for library-specific failures."""
-
-
-class SequencingError(AdamCheckError):
-    """Trajectory records must be appended with strictly consecutive t."""
 
 
 class NumericInputError(AdamCheckError):
@@ -363,39 +357,37 @@ class StepRecord:
 
 @dataclass
 class Trajectory:
-    """Append-only record of a full optimizer run."""
+    """A full optimizer run, stored as columns.
 
-    d: int
+    `w` is (T+1, d) with row t = w_t, so row 0 is w_0.  Row t-1 of `g`,
+    `m_hat` and `v_hat`, each (T, d), and entry t-1 of `e`, (T,), belong to
+    step t; `e` is the objective value at w_{t-1} (NaN when the step was
+    driven without an objective).
+    """
+
     params: HyperParams
-    records: list[StepRecord] = field(default_factory=list)
+    w: np.ndarray
+    g: np.ndarray
+    m_hat: np.ndarray
+    v_hat: np.ndarray
+    e: np.ndarray
 
     @property
     def T(self) -> int:
-        return len(self.records)
+        return len(self.e)
 
-    def iterates(self) -> np.ndarray:
-        """(T+1, d) array of weight vectors w_0, ..., w_T."""
-        if not self.records:
-            raise ValueError("empty trajectory has no iterates")
-        rows = [self.records[0].w_before] + [r.w_after for r in self.records]
-        return np.vstack(rows)
+    @property
+    def d(self) -> int:
+        return self.w.shape[1]
 
-    def gradients(self) -> np.ndarray:
-        """(T, d) matrix whose row t-1 is the step-t gradient."""
-        return np.vstack([r.g for r in self.records]) if self.records else np.zeros((0, self.d))
-
-
-def record_step(traj: Trajectory, rec: StepRecord) -> Trajectory:
-    """Append one step record, enforcing consecutive time stamps."""
-    expected = traj.records[-1].t + 1 if traj.records else 1
-    if rec.t != expected:
-        raise SequencingError(
-            f"expected record t={expected}, got t={rec.t}"
+    def prefix(self, h: int) -> "Trajectory":
+        """The first h steps as views of these columns.  They equal an
+        h-step run, because the optimizer does not depend on the horizon."""
+        if not 0 <= h <= self.T:
+            raise ValueError(f"prefix horizon {h} outside [0, {self.T}]")
+        return Trajectory(
+            self.params, self.w[:h + 1], self.g[:h], self.m_hat[:h], self.v_hat[:h], self.e[:h]
         )
-    if len(rec.w_before) != traj.d:
-        raise ValueError(f"record dimension {len(rec.w_before)} != trajectory d={traj.d}")
-    traj.records.append(rec)
-    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -435,57 +427,82 @@ class GradSequence:
 # ---------------------------------------------------------------------------
 
 TRAJECTORY_HEADER = "t,i,w_before,g,e,m_hat,v_hat,w_after"
+_TRAJECTORY_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"  # %.17g is fmt17
+_CSV_STEPS = 4096  # steps per block of rows, which bounds the temporary lists
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    lines = [TRAJECTORY_HEADER]
-    for rec in traj.records:
-        for i in range(traj.d):
-            lines.append(
-                f"{rec.t},{i + 1},{fmt17(rec.w_before[i])},{fmt17(rec.g[i])},"
-                f"{fmt17(rec.e)},{fmt17(rec.m_hat[i])},{fmt17(rec.v_hat[i])},"
-                f"{fmt17(rec.w_after[i])}"
-            )
-    return "\n".join(lines) + "\n"
+    parts = [TRAJECTORY_HEADER + "\n"]
+    d = traj.d
+    for lo in range(0, traj.T, _CSV_STEPS):
+        hi = min(lo + _CSV_STEPS, traj.T)
+        columns = (
+            np.repeat(np.arange(lo + 1, hi + 1), d),
+            np.tile(np.arange(1, d + 1), hi - lo),
+            traj.w[lo:hi].ravel(),
+            traj.g[lo:hi].ravel(),
+            np.repeat(traj.e[lo:hi], d),
+            traj.m_hat[lo:hi].ravel(),
+            traj.v_hat[lo:hi].ravel(),
+            traj.w[lo + 1:hi + 1].ravel(),
+        )
+        rows = zip(*(c.tolist() for c in columns))
+        parts.append("".join([_TRAJECTORY_ROW % row + "\n" for row in rows]))
+    return "".join(parts)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise: a and b hold the same float64 bit pattern."""
+    return a.view(np.uint64) == b.view(np.uint64)
 
 
 def trajectory_from_csv(text: str, params: HyperParams) -> Trajectory:
     """Rebuild a trajectory from its CSV serialization.
 
     The CSV does not carry the hyperparameters, so they are supplied by the
-    caller.
+    caller.  Rows must run t = 1..T with i = 1..d inside each t.  The CSV
+    repeats values that the columns hold once (w_before of step t+1 is
+    w_after of step t, and e is repeated on every coordinate row), so the
+    repeats must agree bit for bit.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = text.splitlines()
     if not lines or lines[0] != TRAJECTORY_HEADER:
         raise ValueError("missing or malformed trajectory header")
-    by_t: dict[int, dict[int, list[str]]] = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"malformed trajectory row: {ln!r}")
-        t, i = int(parts[0]), int(parts[1])
-        by_t.setdefault(t, {})[i] = parts[2:]
-    if not by_t:
+    if not any(ln.strip() for ln in lines[1:]):
         raise ValueError("trajectory CSV has no data rows")
-    d = max(max(cols) for cols in by_t.values())
-    traj = Trajectory(d=d, params=params)
-    for t in sorted(by_t):
-        cols = by_t[t]
-        if sorted(cols) != list(range(1, d + 1)):
-            raise ValueError(f"t={t} is missing coordinate rows")
-        def col(k: int) -> np.ndarray:
-            return np.array([float(cols[i][k]) for i in range(1, d + 1)])
-        rec = StepRecord(
-            t=t,
-            w_before=col(0),
-            g=col(1),
-            e=float(cols[1][2]),
-            m_hat=col(3),
-            v_hat=col(4),
-            w_after=col(5),
+    # a (T*d, 8) float array, parsed in C; a per-row Python parser holds
+    # several times the CSV's size in small objects
+    rows = np.loadtxt(lines[1:], delimiter=",", ndmin=2, comments=None)
+    if rows.shape[1] != 8:
+        raise ValueError(f"trajectory rows have {rows.shape[1]} fields, expected 8")
+    n = len(rows)
+    d = np.max(rows[:, 1])
+    if not 1 <= d <= n or n % int(d):
+        raise ValueError(f"{n} rows do not form whole steps of d={d:g} coordinates")
+    d = int(d)
+    T = n // d
+    ts = np.repeat(np.arange(1, T + 1), d)
+    cs = np.tile(np.arange(1, d + 1), T)
+    bad = np.flatnonzero((rows[:, 0] != ts) | (rows[:, 1] != cs))
+    if len(bad):
+        k = bad[0]
+        raise ValueError(
+            f"data row {k + 1} is not t={ts[k]}, i={cs[k]}: rows must run t = 1..T, i = 1..d"
         )
-        record_step(traj, rec)
-    return traj
+    cols = rows[:, 2:].reshape(T, d, 6)
+    w_before, g, e, m_hat, v_hat, w_after = (cols[:, :, k] for k in range(6))
+    moved = ~_same_bits(w_before[1:], w_after[:-1])
+    if np.any(moved):
+        t, i = np.argwhere(moved)[0]
+        raise ValueError(f"w_before at t={t + 2}, i={i + 1} differs from w_after at t={t + 1}")
+    split = ~_same_bits(e, e[:, :1])
+    if np.any(split):
+        t = np.argwhere(split)[0][0]
+        raise ValueError(f"e differs between the coordinate rows of t={t + 1}")
+    if np.any(v_hat < 0):
+        t, i = np.argwhere(v_hat < 0)[0]
+        raise ValueError(f"negative v_hat at t={t + 1}, i={i + 1}")
+    return Trajectory(params, np.concatenate([w_before[:1], w_after]), g, m_hat, v_hat, e[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .core import (
     NumericInputError,
     StepRecord,
     Trajectory,
-    record_step,
 )
 
 __all__ = [
@@ -131,19 +130,23 @@ def adam_run(
     grad_oracle: GradOracle,
     p: HyperParams,
     T: int,
-    stop_grad_norm: float | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> Trajectory:
     """Run ADAM for exactly T steps (a fixed horizon replaces a convergence
     test) and return the full trajectory.
 
-    `stop_grad_norm`, off by default, stops early once ||g||_2 falls below
-    the threshold.  `progress(t, T)` is invoked every 1000 steps.
+    Row t of the trajectory's preallocated columns is filled from the
+    record of step t.  `progress(t, T)` is invoked every 1000 steps.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
     st = AdamState.initial(w0)
-    traj = Trajectory(d=len(st.w), params=p)
+    d = len(st.w)
+    traj = Trajectory(
+        p, w=np.empty((T + 1, d)), g=np.empty((T, d)), m_hat=np.empty((T, d)),
+        v_hat=np.empty((T, d)), e=np.empty(T),
+    )
+    traj.w[0] = st.w
     for t in range(1, T + 1):
         e, g = grad_oracle(st.w, t)
         try:
@@ -151,11 +154,13 @@ def adam_run(
         except (NumericInputError, DivisionHazardError) as err:
             err.t = t
             raise
-        record_step(traj, rec)
+        traj.w[t] = rec.w_after
+        traj.g[t - 1] = rec.g
+        traj.m_hat[t - 1] = rec.m_hat
+        traj.v_hat[t - 1] = rec.v_hat
+        traj.e[t - 1] = rec.e
         if progress is not None and t % 1000 == 0:
             progress(t, T)
-        if stop_grad_norm is not None and np.linalg.norm(g) <= stop_grad_norm:
-            break
     return traj
 
 
@@ -191,16 +196,17 @@ def verify_replay(traj: Trajectory) -> bool:
     """Replay the stored gradients through `adam_step` and demand that every
     stored iterate is reproduced bit-for-bit.  Raises on the first mismatch.
     """
-    if not traj.records:
-        return True
-    st = AdamState.initial(traj.records[0].w_before)
-    for rec in traj.records:
-        st, replayed = adam_step(st, rec.g, traj.params, e=rec.e)
-        for name in ("w_after", "m_hat", "v_hat"):
+    st = AdamState.initial(traj.w[0])
+    for t in range(1, traj.T + 1):
+        st, replayed = adam_step(st, traj.g[t - 1], traj.params, e=traj.e[t - 1])
+        for name, stored in (
+            ("w_after", traj.w[t]),
+            ("m_hat", traj.m_hat[t - 1]),
+            ("v_hat", traj.v_hat[t - 1]),
+        ):
             a = getattr(replayed, name)
-            b = getattr(rec, name)
-            if not np.array_equal(a, b):
+            if not np.array_equal(a, stored):
                 raise AssertionError(
-                    f"replay mismatch at t={rec.t} in {name}: {a} != {b}"
+                    f"replay mismatch at t={t} in {name}: {a} != {stored}"
                 )
     return True

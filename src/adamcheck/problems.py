@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
     "minimizer_oracle",
     "convexity_gap",
     "parse_problem_spec",
-    "load_problem",
     "problem_from_spec",
 ]
 
@@ -416,7 +414,3 @@ def problem_from_spec(spec: dict) -> ConvexProblem:
     return random_noisy_quadratic(
         spec["seed"], spec["d"], mu=spec["mu"], noise_scale=spec["noise_scale"]
     )
-
-
-def load_problem(path: str | Path) -> ConvexProblem:
-    return problem_from_spec(parse_problem_spec(Path(path).read_text()))

@@ -2,8 +2,8 @@
 
 One run per (problem kind, hyperparameter combo, horizon): 3 kinds x 6
 combos x 3 horizons = 54 runs.  A single full-length trajectory per
-(problem, combo) is sliced into prefixes, which is equivalent to separate
-runs because the optimizer is deterministic and horizon-oblivious.
+(problem, combo) is cut into prefixes, which equal separate runs because
+the optimizer is deterministic and horizon-oblivious.
 """
 
 from dataclasses import dataclass
@@ -58,7 +58,7 @@ def build_corpus() -> list[CorpusRun]:
         for params in default_param_grid():
             traj = adam_run(w0, oracle, params, t_max)
             for T in HORIZONS:
-                prefix = Trajectory(d=traj.d, params=params, records=traj.records[:T])
+                prefix = traj.prefix(T)
                 report = theorem_bound(prefix, w_stars[T], problem)
                 runs.append(
                     CorpusRun(

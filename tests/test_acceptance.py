@@ -19,7 +19,6 @@ from adamcheck.core import (
     AdamState,
     GradSequence,
     HyperParams,
-    Trajectory,
     seeded_rng,
 )
 from adamcheck.optimizers import adam_run, adam_step
@@ -126,7 +125,7 @@ def test_criterion_2_bound_holds_on_corpus(corpus):
                 f"beta1={run.params.beta1} lam={run.params.lam}"
             )
             # measured regret stays nonnegative up to oracle tolerance
-            max_e = max(abs(rec.e) for rec in run.traj.records)
+            max_e = float(np.max(np.abs(run.traj.e)))
             assert run.report.regret >= -1e-9 * run.T * max(1.0, max_e)
 
 
@@ -145,8 +144,7 @@ def test_criterion_3_average_regret_rate():
         traj = adam_run(w0, lambda w, t: evaluate(problem, w, t), params, RATE_SCHEDULE[-1])
         reports = []
         for T in RATE_SCHEDULE:
-            prefix = Trajectory(d=traj.d, params=params, records=traj.records[:T])
-            reports.append(theorem_bound(prefix, minimizer_oracle(problem, T), problem))
+            reports.append(theorem_bound(traj.prefix(T), minimizer_oracle(problem, T), problem))
         rows, slope = average_regret_series(reports)
         assert slope <= -0.4
         avg_regret = [r for _, r, _ in rows]
@@ -161,13 +159,13 @@ def test_criterion_3_average_regret_rate():
 def test_criterion_4_sum_estimates(corpus):
     with criterion(4, "gradient-history and v_hat sums under d * G_inf * sqrt(T)"):
         for run in corpus:
-            grads = run.traj.gradients()
+            grads = run.traj.g
             g_inf = float(np.max(np.abs(grads)))
             d = run.traj.d
             T = run.T
             majorant = d * g_inf * math.sqrt(T) * (1 + 1e-12)
             assert float(np.sum(np.linalg.norm(grads, axis=0))) <= majorant
-            v_hat_final = run.traj.records[-1].v_hat
+            v_hat_final = run.traj.v_hat[-1]
             assert float(np.sum(np.sqrt(T * v_hat_final))) <= majorant
 
 

@@ -6,9 +6,7 @@ import pytest
 from adamcheck.core import (
     GradSequence,
     HyperParams,
-    StepRecord,
     Trajectory,
-    record_step,
     seeded_rng,
 )
 from adamcheck.optimizers import adam_run
@@ -40,16 +38,11 @@ from adamcheck.analysis import (
 
 
 def constant_w_trajectory(w_value, e_value, T, params=None):
-    params = params or HyperParams()
-    traj = Trajectory(d=1, params=params)
-    z = np.zeros(1)
-    for t in range(1, T + 1):
-        rec = StepRecord(
-            t=t, w_before=[w_value], g=z, e=e_value,
-            m_hat=z, v_hat=z, w_after=[w_value],
-        )
-        record_step(traj, rec)
-    return traj
+    z = np.zeros((T, 1))
+    return Trajectory(
+        params=params or HyperParams(), w=np.full((T + 1, 1), w_value),
+        g=z, m_hat=z, v_hat=z, e=np.full(T, e_value),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +86,7 @@ def test_theorem_bound_pinned_single_step():
     problem = quadratic_problem(np.eye(1), np.zeros(1))
     p = HyperParams(eta=1.0, beta1=0.9, beta2=0.999, lam=0.999, epsilon=0.0)
     traj = adam_run([1.0], lambda w, t: evaluate(problem, w, t), p, 1)
-    assert traj.records[0].w_after[0] == pytest.approx(0.0, abs=1e-15)
+    assert traj.w[1, 0] == pytest.approx(0.0, abs=1e-15)
     report = theorem_bound(traj, [0.0], problem)
     assert report.regret == pytest.approx(0.5, rel=1e-12)
     assert report.D_inf == pytest.approx(1.0, rel=1e-12)
@@ -123,7 +116,7 @@ def test_theorem_bound_zero_gradient_run():
 def test_theorem_bound_rejects_empty_trajectory():
     problem = quadratic_problem(np.eye(1), np.zeros(1))
     with pytest.raises(ValueError, match="empty"):
-        theorem_bound(Trajectory(d=1, params=HyperParams()), [0.0], problem)
+        theorem_bound(constant_w_trajectory(0.0, 0.0, 0), [0.0], problem)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +246,8 @@ def test_vhat_bound_equality_at_constant_gradient():
     p = HyperParams(beta1=0.9, beta2=0.99, lam=0.9)
     traj = adam_run([0.0], oracle, p, 30)
     # constant gradient telescopes: v_hat = g**2 at every t
-    for rec in traj.records:
-        assert math.sqrt(rec.v_hat[0]) == pytest.approx(g_inf, rel=1e-12)
+    for v_hat in traj.v_hat[:, 0]:
+        assert math.sqrt(v_hat) == pytest.approx(g_inf, rel=1e-12)
     assert vhat_bound_check(traj, g_inf)
 
 
@@ -468,12 +461,7 @@ def test_fuzz_near_miss_is_escalated_and_cleared(tmp_path):
 
 
 def test_report_serializers():
-    from adamcheck.analysis import (
-        bound_report_text,
-        bound_reports_csv,
-        conjecture_report_csv,
-        conjecture_report_text,
-    )
+    from adamcheck.analysis import bound_report_text, bound_reports_csv
 
     report = synthetic_report(10, 4.0)
     csv = bound_reports_csv([report, report])
@@ -481,14 +469,6 @@ def test_report_serializers():
     assert lines[0].startswith("T,d,regret")
     assert len(lines) == 3
     assert "slack" in bound_report_text(report)
-
-    p = HyperParams()
-    side = conjecture_sides(GradSequence(d=2, g=np.ones((4, 2)), g_inf_cap=1.0), p)
-    assert np.all(side.lhs >= 0) and np.all(side.rhs >= 0)
-    ccsv = conjecture_report_csv(side)
-    assert ccsv.splitlines()[0] == "i,lhs,rhs,slack"
-    assert len(ccsv.splitlines()) == 3
-    assert "min slack" in conjecture_report_text(side)
 
 
 def test_fuzz_trial_sequences_respect_cap_and_families():

@@ -16,7 +16,6 @@ from adamcheck.cli import (
     load_run_config,
     main,
     parse_grid_spec,
-    worker_count,
 )
 
 
@@ -147,20 +146,6 @@ def test_race_rejects_mismatched_horizons(tmp_path):
     assert main(argv) == EXIT_CONFIG
 
 
-def test_race_byte_determinism_across_thread_counts(tmp_path, monkeypatch):
-    cfgs = [
-        write_configs(tmp_path, optimizer=name, T=25, name=f"{name}.cfg")
-        for name in ("gd", "adam")
-    ]
-    argv = ["race", "--config", str(cfgs[0]), "--config", str(cfgs[1])]
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    monkeypatch.setenv("ADAMCHECK_THREADS", "1")
-    assert main(argv + ["--out", str(out1)]) == EXIT_OK
-    monkeypatch.setenv("ADAMCHECK_THREADS", "4")
-    assert main(argv + ["--out", str(out2)]) == EXIT_OK
-    assert _tree_bytes(out1) == _tree_bytes(out2)
-
-
 def test_fuzz_smoke_and_determinism(tmp_path):
     out1, out2 = tmp_path / "f1", tmp_path / "f2"
     argv = ["fuzz", "--trials", "50", "--tmax", "16", "--seed", "7"]
@@ -235,16 +220,6 @@ def test_numeric_failure_exit_code_carries_step(tmp_path, capsys, monkeypatch):
     assert "t=7" in capsys.readouterr().err
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("ADAMCHECK_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("ADAMCHECK_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("ADAMCHECK_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        worker_count()
-
-
 def test_load_run_config_seed_and_out_overrides(tmp_path):
     cfg = write_configs(tmp_path, extra="output_dir = somewhere\n")
     loaded = load_run_config(cfg, seed_override=42, out_override=tmp_path / "o")
@@ -266,38 +241,52 @@ def test_run_golden_noisy_fixture(tmp_path, fixtures_dir):
         assert (out / name).read_bytes() == (fixtures_dir / golden).read_bytes(), name
 
 
-BAD_RUN_CONFIG = "problem_spec = prob.cfg\noptimizer = adam\neta = {eta}\nT = 20\nseed = {seed}\n"
+BAD_RUN_CONFIG = (
+    "problem_spec = prob.cfg\noptimizer = {optimizer}\neta = {eta}\nT = {T}\nseed = {seed}\n"
+)
 NAN_MU_SPEC = "kind = quadratic\nd = 3\nseed = 11\nmu = nan\n"
 
 
 @pytest.mark.parametrize(
-    "argv,eta,seed,problem",
+    "argv,eta,seed,problem,T",
     [
-        (["fuzz", "--trials", "-5", "--tmax", "8", "--seed", "1"], None, None, None),
-        (["fuzz", "--trials", "5", "--tmax", "0", "--seed", "1"], None, None, None),
-        (["fuzz", "--trials", "5", "--tmax", "8", "--seed", "-1"], None, None, None),
+        (["fuzz", "--trials", "-5", "--tmax", "8", "--seed", "1"], None, None, None, None),
+        (["fuzz", "--trials", "5", "--tmax", "0", "--seed", "1"], None, None, None, None),
+        (["fuzz", "--trials", "5", "--tmax", "8", "--seed", "-1"], None, None, None, None),
         (["fuzz", "--trials", "5", "--tmax", "8", "--seed", "1", "--grid", "0.9,0.999,nan"],
-         None, None, None),
+         None, None, None, None),
         # a 320 TB batch: above any user address space, so the allocation
         # fails when it is requested, whatever the overcommit policy
-        (["fuzz", "--trials", "10", "--tmax", "4000000000000", "--seed", "1"], None, None, None),
+        (["fuzz", "--trials", "10", "--tmax", "4000000000000", "--seed", "1"],
+         None, None, None, None),
         # a batch above numpy's array size limit, rejected before allocation
-        (["fuzz", "--trials", "10", "--tmax", str(2 ** 62), "--seed", "1"], None, None, None),
-        (["run"], "0.1", "-3", QUAD_SPEC),
-        (["run"], "inf", "1", QUAD_SPEC),
-        (["run"], "0.1", "1", NAN_MU_SPEC),
-        (["run"], "0.1", "1", QUAD_SPEC.replace("seed = 11", "seed = -3")),
-        (["race"], "0.1", "18446744073709551616", QUAD_SPEC),
+        (["fuzz", "--trials", "10", "--tmax", str(2 ** 62), "--seed", "1"],
+         None, None, None, None),
+        (["run"], "0.1", "-3", QUAD_SPEC, 20),
+        (["run"], "inf", "1", QUAD_SPEC, 20),
+        (["run"], "0.1", "1", NAN_MU_SPEC, 20),
+        (["run"], "0.1", "1", QUAD_SPEC.replace("seed = 11", "seed = -3"), 20),
+        (["race"], "0.1", "18446744073709551616", QUAD_SPEC, 20),
+        # horizons whose arrays exceed any user address space (8 PB and up),
+        # and ones beyond numpy's array size limit
+        (["run"], "0.1", "1", QUAD_SPEC, 10 ** 15),
+        (["run"], "0.1", "1", QUAD_SPEC, 2 ** 62),
+        (["race"], "0.1", "1", QUAD_SPEC, 10 ** 15),
+        (["race"], "0.1", "1", QUAD_SPEC, 2 ** 62),
     ],
     ids=["fuzz-trials", "fuzz-tmax", "fuzz-seed", "fuzz-grid-nan", "fuzz-tmax-memory",
          "fuzz-tmax-size", "run-seed", "run-eta-inf",
-         "spec-mu-nan", "spec-seed", "race-seed"],
+         "spec-mu-nan", "spec-seed", "race-seed", "run-T-memory", "run-T-size",
+         "race-T-memory", "race-T-size"],
 )
-def test_bad_input_exits_1_with_one_line(tmp_path, argv, eta, seed, problem):
+def test_bad_input_exits_1_with_one_line(tmp_path, argv, eta, seed, problem, T):
     if problem is not None:
         (tmp_path / "prob.cfg").write_text(problem)
-        (tmp_path / "run.cfg").write_text(BAD_RUN_CONFIG.format(eta=eta, seed=seed))
-        argv = argv + ["--config", str(tmp_path / "run.cfg")] * (2 if argv == ["race"] else 1)
+        # race gd against momentum, the two runners that keep no columns
+        for name in ("gd", "momentum") if argv == ["race"] else ("adam",):
+            config = BAD_RUN_CONFIG.format(optimizer=name, eta=eta, seed=seed, T=T)
+            (tmp_path / f"{name}.cfg").write_text(config)
+            argv = argv + ["--config", str(tmp_path / f"{name}.cfg")]
     env = dict(os.environ, PYTHONPATH=str(Path(adamcheck.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "adamcheck.cli", *argv, "--out", str(tmp_path / "out")],

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adamcheck.core import (
+    AdamState,
     GradSequence,
     HyperParams,
-    SequencingError,
     StepRecord,
-    Trajectory,
     parse_kv_text,
-    record_step,
     seeded_rng,
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from adamcheck.optimizers import adam_run, verify_replay
+from adamcheck.optimizers import adam_run, adam_step, verify_replay
 
 
 # ---------------------------------------------------------------------------
@@ -100,42 +99,64 @@ def test_gamma_value():
 
 
 # ---------------------------------------------------------------------------
-# trajectory recording
+# trajectory columns
 # ---------------------------------------------------------------------------
 
-def _record(t, d=1):
-    z = np.zeros(d)
-    return StepRecord(t=t, w_before=z, g=z, e=0.0, m_hat=z, v_hat=z, w_after=z)
-
-
-def test_record_step_appends():
-    traj = Trajectory(d=1, params=HyperParams())
-    record_step(traj, _record(1))
-    assert traj.T == 1
-
-
-def test_record_step_rejects_gap():
-    traj = Trajectory(d=1, params=HyperParams())
-    record_step(traj, _record(1))
-    with pytest.raises(SequencingError):
-        record_step(traj, _record(3))
-
-
-def test_record_step_rejects_duplicate():
-    traj = Trajectory(d=1, params=HyperParams())
-    record_step(traj, _record(1))
-    with pytest.raises(SequencingError):
-        record_step(traj, _record(1))
-
-
 def test_records_are_read_only():
-    rec = _record(1)
+    z = np.zeros(1)
+    rec = StepRecord(t=1, w_before=z, g=z, e=0.0, m_hat=z, v_hat=z, w_after=z)
     with pytest.raises(ValueError):
         rec.g[0] = 1.0
 
 
 def _quadratic_oracle(w, t):
     return float(0.5 * w @ w), w.copy()
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 40), d=st.integers(1, 6),
+       epsilon=st.sampled_from([0.0, 1e-8, 0.5]))
+def test_adam_run_rows_equal_step_records(seed, T, d, epsilon):
+    rng = np.random.default_rng(seed)
+    g_all = rng.uniform(-3.0, 3.0, size=(T, d))
+    g_all[rng.random((T, d)) < 0.2] = 0.0
+    if epsilon == 0.0:
+        # a zero gradient before any nonzero one keeps v_hat = m_hat = 0,
+        # the 0/0 -> 0 update; a later zero keeps v_hat > 0
+        g_all[:, 0] = np.where(np.arange(T) < T // 2, 0.0, g_all[:, 0])
+    e_all = rng.uniform(-1.0, 1.0, size=T)
+    p = HyperParams(eta=0.1, beta1=0.7, beta2=0.9, lam=0.9, epsilon=epsilon)
+    w0 = rng.standard_normal(d)
+    traj = adam_run(w0, lambda w, t: (e_all[t - 1], g_all[t - 1]), p, T)
+    assert (traj.T, traj.d) == (T, d)
+    st_ = AdamState.initial(w0)
+    assert _bits(traj.w[0]) == _bits(w0)
+    for t in range(1, T + 1):
+        st_, rec = adam_step(st_, g_all[t - 1], p, e=e_all[t - 1])
+        assert _bits(traj.w[t]) == _bits(rec.w_after)
+        assert _bits(traj.w[t - 1]) == _bits(rec.w_before)
+        assert _bits(traj.g[t - 1]) == _bits(rec.g)
+        assert _bits(traj.m_hat[t - 1]) == _bits(rec.m_hat)
+        assert _bits(traj.v_hat[t - 1]) == _bits(rec.v_hat)
+        assert _bits(traj.e[t - 1]) == _bits(rec.e)
+
+
+@pytest.mark.parametrize("h", [1, 7, 30])
+def test_prefix_equals_shorter_run(h):
+    p = HyperParams(eta=0.1)
+    full = adam_run(np.array([0.4, -1.5, 2.0]), _quadratic_oracle, p, 30)
+    short = adam_run(np.array([0.4, -1.5, 2.0]), _quadratic_oracle, p, h)
+    prefix = full.prefix(h)
+    assert (prefix.T, prefix.d, prefix.params) == (h, 3, p)
+    for name in ("w", "g", "m_hat", "v_hat", "e"):
+        assert _bits(getattr(prefix, name)) == _bits(getattr(short, name)), name
+    assert trajectory_to_csv(prefix) == trajectory_to_csv(short)
+    with pytest.raises(ValueError, match="prefix horizon"):
+        full.prefix(31)
 
 
 def test_replay_is_bit_identical():
@@ -157,11 +178,85 @@ def test_trajectory_csv_round_trip():
     text = trajectory_to_csv(traj)
     back = trajectory_from_csv(text, p)
     assert back.T == traj.T and back.d == traj.d
-    for a, b in zip(traj.records, back.records):
-        for name in ("w_before", "g", "m_hat", "v_hat", "w_after"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert a.e == b.e
+    for name in ("w", "g", "m_hat", "v_hat", "e"):
+        assert _bits(getattr(back, name)) == _bits(getattr(traj, name)), name
     assert verify_replay(back)
+    assert trajectory_to_csv(back) == text
+
+
+def test_trajectory_csv_round_trip_keeps_nan_and_negative_zero():
+    # e is NaN when the run has no objective; -0.0 must keep its sign
+    g_all = np.array([[-0.0, 1.0], [0.5, -0.0], [-0.0, -0.0]])
+    p = HyperParams(eta=0.1)
+    traj = adam_run(np.array([-0.0, 2.0]), lambda w, t: (float("nan"), g_all[t - 1]), p, 3)
+    text = trajectory_to_csv(traj)
+    assert ",nan," in text and ",-0," in text
+    back = trajectory_from_csv(text, p)
+    for name in ("w", "g", "m_hat", "v_hat", "e"):
+        assert _bits(getattr(back, name)) == _bits(getattr(traj, name)), name
+    assert trajectory_to_csv(back) == text
+
+
+def _edit_row(lines, k, field, value):
+    cells = lines[k].split(",")
+    cells[field] = value
+    lines[k] = ",".join(cells)
+
+
+def _swap_rows(lines):
+    lines[3], lines[4] = lines[4], lines[3]
+
+
+def _drop_coordinate(lines):
+    del lines[4]
+
+
+def _duplicate_t(lines):
+    # t=2 appears twice in place of t=3
+    lines[5:7] = [ln.replace("3,", "2,", 1) for ln in lines[5:7]]
+
+
+def _break_chain(lines):
+    # w_before of t=3, i=1 no longer equals w_after of t=2, i=1
+    _edit_row(lines, 5, 2, "0.125")
+
+
+def _split_e(lines):
+    _edit_row(lines, 4, 4, "123.5")
+
+
+def _negative_v_hat(lines):
+    _edit_row(lines, 6, 6, "-1e-300")
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_swap_rows, "rows must run"),
+    (_drop_coordinate, "whole steps"),
+    (_duplicate_t, "rows must run"),
+    (_break_chain, "differs from w_after at t=2"),
+    (_split_e, "e differs between the coordinate rows of t=2"),
+    (_negative_v_hat, "negative v_hat at t=3, i=2"),
+], ids=["out-of-order", "missing-coordinate", "duplicate-t", "broken-chain", "split-e",
+        "negative-v_hat"])
+def test_trajectory_from_csv_rejects_inconsistent_rows(corrupt, message):
+    p = HyperParams(eta=0.1)
+    traj = adam_run(np.array([0.3, -1.1]), _quadratic_oracle, p, 4)
+    lines = trajectory_to_csv(traj).splitlines()
+    corrupt(lines)
+    with pytest.raises(ValueError, match=message):
+        trajectory_from_csv("\n".join(lines) + "\n", p)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "header"),
+    ("t,i,w_before,g,e,m_hat,v_hat,w_after\n\n", "no data rows"),
+    ("t,i,w_before,g,e,m_hat,v_hat,w_after\n1,1,0,0,0,0,0\n", "fields"),
+    ("t,i,w_before,g,e,m_hat,v_hat,w_after\n1,nan,0,0,0,0,0,0\n", "whole steps"),
+    ("t,i,w_before,g,e,m_hat,v_hat,w_after\n1,1,0,x,0,0,0,0\n", "could not convert"),
+], ids=["no-header", "no-rows", "seven-fields", "nan-coordinate", "bad-number"])
+def test_trajectory_from_csv_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError, match=message):
+        trajectory_from_csv(text, HyperParams())
 
 
 def test_trajectory_csv_shape():
@@ -194,15 +289,14 @@ def test_moment_convex_combination_bounds():
         m = np.zeros(d)
         v = np.zeros(d)
         running_abs = np.zeros(d)
-        for rec in traj.records:
-            t = rec.t
+        for t, (g, v_hat) in enumerate(zip(traj.g, traj.v_hat), start=1):
             b1t = p.beta1_t(t)
-            m = b1t * m + (1 - b1t) * rec.g
-            v = p.beta2 * v + (1 - p.beta2) * rec.g ** 2
-            running_abs = np.maximum(running_abs, np.abs(rec.g))
+            m = b1t * m + (1 - b1t) * g
+            v = p.beta2 * v + (1 - p.beta2) * g ** 2
+            running_abs = np.maximum(running_abs, np.abs(g))
             assert np.all(np.abs(m) <= running_abs * (1 + 1e-12))
             assert np.all(v <= running_abs ** 2 * (1 + 1e-12))
-            assert np.all(rec.v_hat >= 0)
+            assert np.all(v_hat >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +304,6 @@ def test_moment_convex_combination_bounds():
 # ---------------------------------------------------------------------------
 
 def test_adam_state_validation():
-    from adamcheck.core import AdamState
-
     with pytest.raises(ValueError, match="zero at t = 0"):
         AdamState(t=0, m=np.ones(1), v=np.zeros(1), w=np.zeros(1))
     with pytest.raises(ValueError, match="nonnegative"):

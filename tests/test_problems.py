@@ -8,7 +8,6 @@ from adamcheck.problems import (
     UnboundedMinimizerError,
     convexity_gap,
     evaluate,
-    load_problem,
     logistic_problem,
     minimizer_oracle,
     noisy_quadratic_problem,
@@ -211,14 +210,12 @@ def test_parse_problem_spec_rejects_bad_input():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_problem_from_spec_round_trip(kind, tmp_path):
+def test_problem_from_spec_round_trip(kind):
     text = f"kind = {kind}\nd = 3\nseed = 5\nn_samples = 20\n"
     spec = parse_problem_spec(text)
     p = problem_from_spec(spec)
     assert p.kind == kind and p.d == 3
-    path = tmp_path / "prob.cfg"
-    path.write_text(text)
-    q = load_problem(path)
+    q = problem_from_spec(parse_problem_spec(text))
     assert q.kind == p.kind
     w = np.full(3, 0.25)
     value_q, grad_q = evaluate(q, w, 2)
