@@ -1,8 +1,9 @@
 """Command-line front end: optimizer runs, optimizer races, and the
 inequality fuzzer, all emitting deterministic CSV/text artifacts.
 
-Exit codes: 0 success, 1 config error, 2 numeric failure, 3 unbounded
-minimizer, 10 confirmed inequality violation found by the fuzzer.
+Exit codes: 0 success, 1 config error or unwritable output, 2 numeric
+failure, 3 unbounded minimizer, 10 confirmed inequality violation found by
+the fuzzer.
 """
 
 from __future__ import annotations
@@ -231,6 +232,15 @@ def _run_horizon(T: int, d: int, run):
         raise ConfigError(f"the arrays of T={T} steps cannot be allocated: {err}") from err
 
 
+def _build_problem(spec: dict):
+    """problem_from_spec(spec); a problem whose arrays cannot be allocated
+    is a config error."""
+    try:
+        return problem_from_spec(spec)
+    except MemoryError as err:
+        raise ConfigError(f"the arrays of the {spec['kind']} problem cannot be allocated: {err}") from err
+
+
 def cmd_run(config: RunConfig) -> int:
     """Run the adaptive optimizer, evaluate the regret bound at every
     requested horizon, and write trajectory.csv, bound_report.csv, and
@@ -240,7 +250,9 @@ def cmd_run(config: RunConfig) -> int:
             "the run command drives the adaptive optimizer only; "
             "gd and momentum are raced via the race command"
         )
-    problem = problem_from_spec(config.problem_spec)
+    problem = _build_problem(config.problem_spec)
+    out = config.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     w0 = _initial_weights(config.seed, problem.d)
     oracle = lambda w, t: evaluate(problem, w, t)
     traj = _run_horizon(
@@ -254,8 +266,6 @@ def cmd_run(config: RunConfig) -> int:
         w_star = minimizer_oracle(problem, h)
         reports.append(theorem_bound(traj.prefix(h), w_star, problem))
 
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
     (out / "bound_report.csv").write_text(bound_reports_csv(reports))
 
@@ -307,7 +317,9 @@ def cmd_race(configs: list[RunConfig], out_dir: str | Path | None = None) -> int
         seen[config.optimizer] = n + 1
         labels.append(config.optimizer if n == 0 else f"{config.optimizer}#{n + 1}")
 
-    problem = problem_from_spec(first.problem_spec)
+    problem = _build_problem(first.problem_spec)
+    out = Path(out_dir) if out_dir is not None else first.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     series = _run_horizon(
         first.T, problem.d, lambda: [_race_member(c, problem) for c in configs]
     )
@@ -317,8 +329,6 @@ def cmd_race(configs: list[RunConfig], out_dir: str | Path | None = None) -> int
         for t, value in enumerate(values, start=1):
             lines.append(f"{t},{label},{fmt17(value)}")
 
-    out = Path(out_dir) if out_dir is not None else first.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     (out / "race.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -428,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_fuzz(args.trials, args.tmax, args.seed, args.out, d=args.d, grid=grid)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:  # config and spec reads are ConfigErrors already
+        print(f"cannot write output: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericInputError, DivisionHazardError) as err:
         at = f" at step t={err.t}" if err.t is not None else ""

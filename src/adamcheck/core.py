@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,13 +64,6 @@ class DivisionHazardError(AdamCheckError):
 def fmt17(x: float) -> str:
     """Format a float with 17 significant digits (lossless for float64)."""
     return format(float(x), ".17g")
-
-
-def _freeze(a) -> np.ndarray:
-    """Copy to a read-only 1-D float64 array."""
-    out = np.array(a, dtype=np.float64, copy=True).reshape(-1)
-    out.setflags(write=False)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +292,13 @@ class HyperParams:
         return self.beta1 * self.lam ** (t - 1)
 
 
-@dataclass
-class AdamState:
-    """Mutable per-run optimizer state: step counter, moments, weights."""
+class AdamState(NamedTuple):
+    """Optimizer state after t steps: step counter, moments, weights."""
 
     t: int
     m: np.ndarray
     v: np.ndarray
     w: np.ndarray
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=np.float64).reshape(-1)
-        self.v = np.asarray(self.v, dtype=np.float64).reshape(-1)
-        self.w = np.asarray(self.w, dtype=np.float64).reshape(-1)
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
-        if not len(self.m) == len(self.v) == len(self.w):
-            raise ValueError("m, v, w must share one dimension")
-        if self.t == 0 and (np.any(self.m != 0) or np.any(self.v != 0)):
-            raise ValueError("moments must be zero at t = 0")
-        if np.any(self.v < 0):
-            raise ValueError("second-moment entries must be nonnegative")
 
     @classmethod
     def initial(cls, w0) -> "AdamState":
@@ -326,13 +306,10 @@ class AdamState:
         return cls(t=0, m=np.zeros_like(w0), v=np.zeros_like(w0), w=w0.copy())
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Everything observed during one optimizer step.
-
-    Vectors are stored read-only; `e` is the objective value at `w_before`
-    (NaN when the step was driven without an objective).
-    """
+class StepRecord(NamedTuple):
+    """Everything observed during one optimizer step, as 1-D float64 arrays
+    (not copies); `e` is the objective value at `w_before` (NaN when the
+    step was driven without an objective)."""
 
     t: int
     w_before: np.ndarray
@@ -341,18 +318,6 @@ class StepRecord:
     m_hat: np.ndarray
     v_hat: np.ndarray
     w_after: np.ndarray
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("step records start at t = 1")
-        for name in ("w_before", "g", "m_hat", "v_hat", "w_after"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
-        d = len(self.w_before)
-        for name in ("g", "m_hat", "v_hat", "w_after"):
-            if len(getattr(self, name)) != d:
-                raise ValueError(f"{name} has wrong length")
-        if np.any(self.v_hat < 0):
-            raise ValueError("v_hat entries must be nonnegative")
 
 
 @dataclass

@@ -118,11 +118,7 @@ def adam_step(
         ratio = m_hat / (root_v + p.epsilon)
 
     w_after = st.w - (p.eta / math.sqrt(t)) * ratio
-    new_state = AdamState(t=t, m=m, v=v, w=w_after)
-    rec = StepRecord(
-        t=t, w_before=st.w, g=g, e=e, m_hat=m_hat, v_hat=v_hat, w_after=w_after
-    )
-    return new_state, rec
+    return AdamState(t, m, v, w_after), StepRecord(t, st.w, g, e, m_hat, v_hat, w_after)
 
 
 def adam_run(

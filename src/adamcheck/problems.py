@@ -402,6 +402,12 @@ def parse_problem_spec(text: str) -> dict:
         raise ValueError("mu must be nonnegative")
     if spec["noise_scale"] <= 0:
         raise ValueError("noise_scale must be positive")
+    # every kind holds a d x d float64 matrix (A, or the logistic Newton
+    # Hessian); logistic also holds the n_samples x d features
+    rows = max(spec["d"], spec["n_samples"]) if kind == "logistic" else spec["d"]
+    nbytes = rows * spec["d"] * 8
+    if nbytes > np.iinfo(np.intp).max:
+        raise ValueError(f"the problem needs a {nbytes}-byte array, beyond numpy's array size limit")
     return spec
 
 

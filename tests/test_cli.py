@@ -245,6 +245,12 @@ BAD_RUN_CONFIG = (
     "problem_spec = prob.cfg\noptimizer = {optimizer}\neta = {eta}\nT = {T}\nseed = {seed}\n"
 )
 NAN_MU_SPEC = "kind = quadratic\nd = 3\nseed = 11\nmu = nan\n"
+# problems whose arrays exceed any user address space (728 TiB and 2 PiB),
+# and one whose d x d matrix is beyond numpy's array size limit
+BIG_QUAD_SPEC = "kind = quadratic\nd = 10000000\nseed = 11\n"
+BIG_NOISY_SPEC = "kind = noisy-quadratic\nd = 10000000\nseed = 11\n"
+BIG_LOGISTIC_SPEC = "kind = logistic\nd = 3\nn_samples = 100000000000000\nseed = 11\n"
+HUGE_QUAD_SPEC = "kind = quadratic\nd = 4611686018427387904\nseed = 11\n"
 
 
 @pytest.mark.parametrize(
@@ -273,11 +279,19 @@ NAN_MU_SPEC = "kind = quadratic\nd = 3\nseed = 11\nmu = nan\n"
         (["run"], "0.1", "1", QUAD_SPEC, 2 ** 62),
         (["race"], "0.1", "1", QUAD_SPEC, 10 ** 15),
         (["race"], "0.1", "1", QUAD_SPEC, 2 ** 62),
+        (["run"], "0.1", "1", BIG_QUAD_SPEC, 20),
+        (["run"], "0.1", "1", BIG_NOISY_SPEC, 20),
+        (["run"], "0.1", "1", BIG_LOGISTIC_SPEC, 20),
+        (["run"], "0.1", "1", HUGE_QUAD_SPEC, 20),
+        (["race"], "0.1", "1", BIG_QUAD_SPEC, 20),
+        (["race"], "0.1", "1", HUGE_QUAD_SPEC, 20),
     ],
     ids=["fuzz-trials", "fuzz-tmax", "fuzz-seed", "fuzz-grid-nan", "fuzz-tmax-memory",
          "fuzz-tmax-size", "run-seed", "run-eta-inf",
          "spec-mu-nan", "spec-seed", "race-seed", "run-T-memory", "run-T-size",
-         "race-T-memory", "race-T-size"],
+         "race-T-memory", "race-T-size", "run-quadratic-memory", "run-noisy-memory",
+         "run-logistic-memory", "run-quadratic-size", "race-quadratic-memory",
+         "race-quadratic-size"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, argv, eta, seed, problem, T):
     if problem is not None:
@@ -295,3 +309,28 @@ def test_bad_input_exits_1_with_one_line(tmp_path, argv, eta, seed, problem, T):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "race", "fuzz"])
+def test_unwritable_out_exits_1_with_one_line(tmp_path, capsys, monkeypatch, command):
+    import adamcheck.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the optimizers ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "_run_horizon", no_run)
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file\n")
+    if command == "fuzz":
+        argv = ["fuzz", "--trials", "5", "--tmax", "4", "--seed", "1", "--out", str(afile)]
+    else:
+        configs = [write_configs(tmp_path, optimizer=name, name=f"{name}.cfg")
+                   for name in ("adam", "gd")]
+        argv = [command, "--config", str(configs[0])]
+        if command == "race":
+            argv += ["--config", str(configs[1])]
+        # an existing file as the output directory, or as its parent
+        argv += ["--out", str(afile if command == "run" else afile / "x")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "cannot write output" in err, err
