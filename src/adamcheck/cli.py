@@ -219,6 +219,15 @@ def _config_echo(config: RunConfig) -> list[str]:
     return lines
 
 
+def _allocated(what: str, make):
+    """Return make(); arrays of `what` that cannot be allocated are a
+    config error."""
+    try:
+        return make()
+    except MemoryError as err:
+        raise ConfigError(f"the arrays of {what} cannot be allocated: {err}") from err
+
+
 def _run_horizon(T: int, d: int, run):
     """Return run(), an optimizer run of T steps in dimension d.  A horizon
     whose (T+1, d) float64 iterates exceed numpy's array size limit, or
@@ -226,19 +235,7 @@ def _run_horizon(T: int, d: int, run):
     nbytes = (T + 1) * d * 8
     if nbytes > np.iinfo(np.intp).max:
         raise ConfigError(f"T={T} needs a {nbytes}-byte array, beyond numpy's array size limit")
-    try:
-        return run()
-    except MemoryError as err:
-        raise ConfigError(f"the arrays of T={T} steps cannot be allocated: {err}") from err
-
-
-def _build_problem(spec: dict):
-    """problem_from_spec(spec); a problem whose arrays cannot be allocated
-    is a config error."""
-    try:
-        return problem_from_spec(spec)
-    except MemoryError as err:
-        raise ConfigError(f"the arrays of the {spec['kind']} problem cannot be allocated: {err}") from err
+    return _allocated(f"T={T} steps", run)
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -250,9 +247,16 @@ def cmd_run(config: RunConfig) -> int:
             "the run command drives the adaptive optimizer only; "
             "gd and momentum are raced via the race command"
         )
-    problem = _build_problem(config.problem_spec)
+    spec = config.problem_spec
+    problem = _allocated(f"the {spec['kind']} problem", lambda: problem_from_spec(spec))
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
+    # the minimizers do not read the trajectory, so one that is unbounded
+    # or cannot be allocated stops the run before the optimizer starts
+    horizons = config.t_schedule or [config.T]
+    w_stars = _allocated(
+        f"the {problem.kind} minimizer", lambda: [minimizer_oracle(problem, h) for h in horizons]
+    )
     w0 = _initial_weights(config.seed, problem.d)
     oracle = lambda w, t: evaluate(problem, w, t)
     traj = _run_horizon(
@@ -260,11 +264,9 @@ def cmd_run(config: RunConfig) -> int:
         lambda: adam_run(w0, oracle, config.params, config.T, progress=_progress),
     )
 
-    horizons = config.t_schedule or [config.T]
-    reports = []
-    for h in horizons:
-        w_star = minimizer_oracle(problem, h)
-        reports.append(theorem_bound(traj.prefix(h), w_star, problem))
+    reports = [
+        theorem_bound(traj.prefix(h), w_star, problem) for h, w_star in zip(horizons, w_stars)
+    ]
 
     (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
     (out / "bound_report.csv").write_text(bound_reports_csv(reports))
@@ -317,7 +319,8 @@ def cmd_race(configs: list[RunConfig], out_dir: str | Path | None = None) -> int
         seen[config.optimizer] = n + 1
         labels.append(config.optimizer if n == 0 else f"{config.optimizer}#{n + 1}")
 
-    problem = _build_problem(first.problem_spec)
+    spec = first.problem_spec
+    problem = _allocated(f"the {spec['kind']} problem", lambda: problem_from_spec(spec))
     out = Path(out_dir) if out_dir is not None else first.output_dir
     out.mkdir(parents=True, exist_ok=True)
     series = _run_horizon(
@@ -377,10 +380,10 @@ def cmd_fuzz(
         raise ConfigError(f"a fuzz batch of {batch_bytes} bytes exceeds numpy's array size limit")
     grid = default_fuzz_grid() if grid is None else grid
     out = Path(out_dir)
-    try:
-        summary = conjecture_fuzz(trials, tmax, d, grid, seed, out_dir=out)
-    except MemoryError as err:
-        raise ConfigError(f"a fuzz batch of {batch_bytes} bytes cannot be allocated: {err}") from err
+    summary = _allocated(
+        f"a {batch_bytes}-byte fuzz batch",
+        lambda: conjecture_fuzz(trials, tmax, d, grid, seed, out_dir=out),
+    )
     out.mkdir(parents=True, exist_ok=True)
     (out / "fuzz_summary.txt").write_text(fuzz_summary_text(summary))
     return EXIT_VIOLATION if summary.violation_found else EXIT_OK

@@ -287,23 +287,23 @@ class HyperParams:
         """Decay ratio beta1**2 / sqrt(beta2); must stay below 1."""
         return self.beta1 ** 2 / math.sqrt(self.beta2)
 
-    def beta1_t(self, t: int) -> float:
-        """Time-decayed first-moment rate beta1 * lam**(t-1)."""
-        return self.beta1 * self.lam ** (t - 1)
-
 
 class AdamState(NamedTuple):
-    """Optimizer state after t steps: step counter, moments, weights."""
+    """Optimizer state after t steps: step counter, moments, weights, and
+    the running powers (beta1**t, beta2**t, lam**t)."""
 
     t: int
     m: np.ndarray
     v: np.ndarray
     w: np.ndarray
+    pows: tuple[float, float, float]
 
     @classmethod
     def initial(cls, w0) -> "AdamState":
         w0 = np.asarray(w0, dtype=np.float64).reshape(-1)
-        return cls(t=0, m=np.zeros_like(w0), v=np.zeros_like(w0), w=w0.copy())
+        return cls(
+            t=0, m=np.zeros_like(w0), v=np.zeros_like(w0), w=w0.copy(), pows=(1.0, 1.0, 1.0)
+        )
 
 
 class StepRecord(NamedTuple):

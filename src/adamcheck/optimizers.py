@@ -3,7 +3,8 @@
 All three are implemented verbatim, including the historical eta/2 factor of
 the plain descent rule.  The ADAM step uses the time-decayed first-moment
 rate beta1_t = beta1 * lam**(t-1) in the moment update but the constant
-beta1**t in the bias correction.
+beta1**t in the bias correction.  Its moment recursion is `moment_step`,
+which the inequality evaluators in `analysis` run as well.
 """
 
 from __future__ import annotations
@@ -76,17 +77,32 @@ def momentum_step(st: MomentumState, g, eta: float, alpha: float) -> MomentumSta
     return MomentumState(w=st.w + delta, delta_prev=delta)
 
 
+def moment_step(m, v, g, pows, beta1, beta2, lam):
+    """ADAM's moment recursion at step t, the library's one copy of it.
+
+    `pows` = (beta1**(t-1), beta2**(t-1), lam**(t-1)) as running products;
+    returns (m, v, m_hat, v_hat, pows advanced to t).  Only operators and
+    the int 1 appear, so floats, arrays and mpmath values all pass through
+    (mpmath converts an int faster than a float).
+    """
+    b1_pow, b2_pow, lam_pow = pows
+    b1t = beta1 * lam_pow
+    m = b1t * m + (1 - b1t) * g
+    v = beta2 * v + (1 - beta2) * g * g
+    b1_pow = b1_pow * beta1
+    b2_pow = b2_pow * beta2
+    m_hat = m / (1 - b1_pow)
+    v_hat = v / (1 - b2_pow)
+    return m, v, m_hat, v_hat, (b1_pow, b2_pow, lam_pow * lam)
+
+
 def adam_step(
     st: AdamState, g, p: HyperParams, e: float = math.nan
 ) -> tuple[AdamState, StepRecord]:
     """One ADAM step from state `st` with gradient `g`.
 
-    With t = st.t + 1 and beta1_t = beta1 * lam**(t-1):
+    With t = st.t + 1, `moment_step` gives m_hat and v_hat, and
 
-        m     <- beta1_t * m + (1 - beta1_t) * g
-        v     <- beta2 * v + (1 - beta2) * g**2
-        m_hat  = m / (1 - beta1**t)
-        v_hat  = v / (1 - beta2**t)
         w     <- w - (eta / sqrt(t)) * m_hat / (sqrt(v_hat) + epsilon)
 
     When epsilon is 0 a coordinate with v_hat = 0 contributes a 0 update if
@@ -99,11 +115,7 @@ def adam_step(
         raise NumericInputError("gradient contains a nonfinite component", t=st.t + 1)
 
     t = st.t + 1
-    beta1_t = p.beta1_t(t)
-    m = beta1_t * st.m + (1.0 - beta1_t) * g
-    v = p.beta2 * st.v + (1.0 - p.beta2) * (g * g)
-    m_hat = m / (1.0 - p.beta1 ** t)
-    v_hat = v / (1.0 - p.beta2 ** t)
+    m, v, m_hat, v_hat, pows = moment_step(st.m, st.v, g, st.pows, p.beta1, p.beta2, p.lam)
     root_v = np.sqrt(v_hat)
 
     if p.epsilon == 0.0:
@@ -118,7 +130,7 @@ def adam_step(
         ratio = m_hat / (root_v + p.epsilon)
 
     w_after = st.w - (p.eta / math.sqrt(t)) * ratio
-    return AdamState(t, m, v, w_after), StepRecord(t, st.w, g, e, m_hat, v_hat, w_after)
+    return AdamState(t, m, v, w_after, pows), StepRecord(t, st.w, g, e, m_hat, v_hat, w_after)
 
 
 def adam_run(

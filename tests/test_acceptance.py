@@ -94,7 +94,7 @@ def test_criterion_1_algorithm_fidelity():
         # first-step magnitude on 10**3 random gradients
         p = HyperParams(eta=0.07, beta1=0.9, beta2=0.999, lam=0.95, epsilon=1e-8)
         g_samples = seeded_rng(2024).uniform(-50.0, 50.0, size=1000)
-        correction = (1 - p.beta1_t(1)) / (1 - p.beta1)
+        correction = (1 - p.beta1 * p.lam ** 0) / (1 - p.beta1)
         for g in g_samples:
             if g == 0.0:
                 continue

@@ -70,8 +70,14 @@ def test_run_missing_problem_file(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
-def test_run_unbounded_minimizer_exit_code(tmp_path):
+def test_run_unbounded_minimizer_exit_code(tmp_path, monkeypatch):
+    import adamcheck.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the optimizer ran before the minimizers were found")
+
     # 3 samples in 5 dimensions with mu = 0: separable, no finite minimizer
+    monkeypatch.setattr(cli, "_run_horizon", no_run)
     problem = "kind = logistic\nd = 5\nseed = 2\nn_samples = 3\nmu = 0\n"
     cfg = write_configs(tmp_path, T=5, problem=problem)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_UNBOUNDED
@@ -250,6 +256,8 @@ NAN_MU_SPEC = "kind = quadratic\nd = 3\nseed = 11\nmu = nan\n"
 BIG_QUAD_SPEC = "kind = quadratic\nd = 10000000\nseed = 11\n"
 BIG_NOISY_SPEC = "kind = noisy-quadratic\nd = 10000000\nseed = 11\n"
 BIG_LOGISTIC_SPEC = "kind = logistic\nd = 3\nn_samples = 100000000000000\nseed = 11\n"
+# a problem that fits, but whose d x d Newton Hessian (728 TiB) does not
+WIDE_LOGISTIC_SPEC = "kind = logistic\nd = 10000000\nn_samples = 1\nseed = 11\n"
 HUGE_QUAD_SPEC = "kind = quadratic\nd = 4611686018427387904\nseed = 11\n"
 
 
@@ -282,6 +290,7 @@ HUGE_QUAD_SPEC = "kind = quadratic\nd = 4611686018427387904\nseed = 11\n"
         (["run"], "0.1", "1", BIG_QUAD_SPEC, 20),
         (["run"], "0.1", "1", BIG_NOISY_SPEC, 20),
         (["run"], "0.1", "1", BIG_LOGISTIC_SPEC, 20),
+        (["run"], "0.1", "1", WIDE_LOGISTIC_SPEC, 1),
         (["run"], "0.1", "1", HUGE_QUAD_SPEC, 20),
         (["race"], "0.1", "1", BIG_QUAD_SPEC, 20),
         (["race"], "0.1", "1", HUGE_QUAD_SPEC, 20),
@@ -290,7 +299,7 @@ HUGE_QUAD_SPEC = "kind = quadratic\nd = 4611686018427387904\nseed = 11\n"
          "fuzz-tmax-size", "run-seed", "run-eta-inf",
          "spec-mu-nan", "spec-seed", "race-seed", "run-T-memory", "run-T-size",
          "race-T-memory", "race-T-size", "run-quadratic-memory", "run-noisy-memory",
-         "run-logistic-memory", "run-quadratic-size", "race-quadratic-memory",
+         "run-logistic-memory", "run-logistic-minimizer-memory", "run-quadratic-size", "race-quadratic-memory",
          "race-quadratic-size"],
 )
 def test_bad_input_exits_1_with_one_line(tmp_path, argv, eta, seed, problem, T):

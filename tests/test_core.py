@@ -311,7 +311,7 @@ def test_moment_convex_combination_bounds():
         v = np.zeros(d)
         running_abs = np.zeros(d)
         for t, (g, v_hat) in enumerate(zip(traj.g, traj.v_hat), start=1):
-            b1t = p.beta1_t(t)
+            b1t = p.beta1 * p.lam ** (t - 1)
             m = b1t * m + (1 - b1t) * g
             v = p.beta2 * v + (1 - p.beta2) * g ** 2
             running_abs = np.maximum(running_abs, np.abs(g))
@@ -328,6 +328,7 @@ def test_adam_state_initial():
     w0 = np.array([1.0, 2.0])
     st = AdamState.initial(w0)
     assert st.t == 0 and np.array_equal(st.m, [0.0, 0.0]) and np.array_equal(st.v, [0.0, 0.0])
+    assert st.pows == (1.0, 1.0, 1.0)
     w0[0] = 5.0
     assert np.array_equal(st.w, [1.0, 2.0])
 

@@ -28,6 +28,7 @@ from adamcheck.core import (
     philox_raw,
     seeded_rng,
 )
+from adamcheck.optimizers import adam_run
 from adamcheck.problems import (
     _CENTER_BLOCK,
     _center_sum,
@@ -340,3 +341,21 @@ def test_single_sides_match_step_recursion(seed, T, d, grid_index, rhs_coeff):
 def test_single_sides_of_empty_sequence():
     lhs, rhs = _sides(np.zeros((0, 3)), HyperParams())
     assert lhs.tolist() == rhs.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("p", default_fuzz_grid(), ids=lambda p: f"{p.beta1},{p.beta2},{p.lam}")
+def test_recorded_run_moments_give_fuzzer_lhs(p):
+    # adam_step and the fuzzer run one moment recursion, so the ratio sum
+    # over a run's recorded m_hat and v_hat columns is the fuzzer's lhs
+    T, d = 300, 3
+    g = RandomStream(7).uniform(-1.0, 1.0, size=T * d).reshape(T, d)
+    g[:20, 1] = 0.0  # leading zeros: the 0/0 -> 0 convention
+    g[::3, 2] = 0.0
+    traj = adam_run(np.zeros(d), lambda w, t: (0.0, g[t - 1]), p, T)
+    assert np.array_equal(traj.g, g)
+    lhs = np.zeros(d)
+    for t in range(1, T + 1):
+        m_hat, v_hat = traj.m_hat[t - 1], traj.v_hat[t - 1]
+        denom = np.sqrt(t * v_hat)
+        lhs += np.where(denom > 0.0, m_hat * m_hat / np.where(denom > 0.0, denom, 1.0), 0.0)
+    assert lhs.tobytes() == _sides(g, p)[0].tobytes()

@@ -106,7 +106,7 @@ def test_adam_first_step_magnitude_property():
         if abs(g) < 1e-6:
             continue
         st, _ = adam_step(AdamState.initial([3.0]), [g], p)
-        correction = (1 - p.beta1_t(1)) / (1 - p.beta1)
+        correction = (1 - p.beta1 * p.lam ** 0) / (1 - p.beta1)
         expected = p.eta * correction * abs(g) / (abs(g) + p.epsilon)
         assert abs(st.w[0] - 3.0) == pytest.approx(expected, rel=1e-12)
 
@@ -159,7 +159,10 @@ def test_adam_division_hazard():
     # a hand-built state with m != 0 but v = 0 cannot arise from the
     # recursion; with eps = 0 the update is genuinely 0/0-adjacent
     p = HyperParams(epsilon=0.0)
-    st = AdamState(t=1, m=np.array([1.0]), v=np.array([0.0]), w=np.array([0.0]))
+    st = AdamState(
+        t=1, m=np.array([1.0]), v=np.array([0.0]), w=np.array([0.0]),
+        pows=(0.9, 0.999, 0.999),
+    )
     with pytest.raises(DivisionHazardError):
         adam_step(st, [0.0], p)
 
