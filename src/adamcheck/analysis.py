@@ -11,8 +11,10 @@ The moment-ratio inequality, per coordinate i of a T x d gradient matrix:
         <=  2 / ((1 - gamma) * sqrt(1 - beta2)) * ||g[1:T, i]||_2
 
 with gamma = beta1**2 / sqrt(beta2) < 1.  It is probed numerically, never
-assumed: near-misses are re-evaluated with >= 160-bit software floats and
-confirmed violations are serialized for replay.
+assumed: near-misses are enclosed in outward-rounded interval arithmetic,
+which proves the sign of the real slack unless the enclosure straddles 0;
+only those are re-evaluated with >= 160-bit software floats.  Confirmed
+violations are serialized for replay.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from mpmath import mp, mpf, sqrt as mpsqrt
 
 from .core import (
     AdamCheckError,
@@ -309,11 +310,14 @@ def conjecture_sides_exact(
     prec_bits: int = EXACT_PRECISION_BITS,
 ) -> tuple[list, list, float]:
     """Extended-precision evaluation of both sides (software floats with a
-    >= 160-bit significand), used to rule out double rounding as the cause
-    of an apparent violation.  Returns (lhs, rhs, min_slack) with the sides
+    >= 160-bit significand).  It decides a near miss whose interval
+    enclosure straddles 0.  Returns (lhs, rhs, min_slack) with the sides
     as mpmath values."""
     if prec_bits < 160:
         raise ValueError("escalated evaluation requires at least 160 bits")
+    # imported here: only straddling enclosures reach this pass
+    from mpmath import mp, mpf, sqrt as mpsqrt
+
     g = seq.g
     T, d = g.shape
     with mp.workprec(prec_bits):
@@ -345,15 +349,16 @@ def conjecture_sides_exact(
 def conjecture_sides(seq: GradSequence, p: HyperParams) -> ConjectureReport:
     """Both sides of the moment-ratio inequality for one gradient sequence.
 
-    An apparent double-precision violation is only reported after it
-    survives extended-precision re-evaluation.
+    An apparent double-precision violation is only reported after its
+    interval enclosure, or the 200-bit pass where that straddles 0, proves
+    it (`_decided_slack`).
     """
     lhs, rhs = _sides(seq.g, p)
     min_slack = float(np.min(rhs - lhs)) if len(lhs) else math.inf
     violated = False
     if min_slack < 0.0:
-        _, _, exact_slack = conjecture_sides_exact(seq, p)
-        violated = exact_slack < 0.0
+        lo, hi = _slack_enclosure(seq.g[None], np.array([seq.T]), [p], [None])
+        violated = _decided_slack(lo[0], hi[0], seq, p, None) < 0.0
     return ConjectureReport(lhs=lhs, rhs=rhs, min_slack=min_slack, violated=violated)
 
 
@@ -469,7 +474,8 @@ class CounterexampleRecord:
 
     `rhs_coeff` is normally the canonical 2/((1-gamma) sqrt(1-beta2));
     synthetic records used to exercise the detection machinery may carry a
-    different coefficient and say so in the file.
+    different coefficient and say so in the file.  `enclosure` and
+    `exact_min_slack` are as in `NearMiss`.
     """
 
     label: str
@@ -483,6 +489,11 @@ class CounterexampleRecord:
     rhs: np.ndarray
     min_slack: float
     exact_min_slack: float
+    enclosure: tuple[float, float]
+
+
+def _fmt_interval(bounds: tuple[float, float]) -> str:
+    return f"[{fmt17(bounds[0])}, {fmt17(bounds[1])}]"
 
 
 def write_counterexample(path: str | Path, rec: CounterexampleRecord) -> None:
@@ -504,6 +515,7 @@ def write_counterexample(path: str | Path, rec: CounterexampleRecord) -> None:
         "rhs = " + ",".join(fmt17(v) for v in rec.rhs),
         f"min_slack = {fmt17(rec.min_slack)}",
         f"exact_min_slack = {fmt17(rec.exact_min_slack)}",
+        f"enclosure = {_fmt_interval(rec.enclosure)}",
     ]
     for t in range(rec.T):
         lines.append(f"g{t + 1} = " + ",".join(fmt17(v) for v in rec.g[t]))
@@ -542,6 +554,7 @@ def load_counterexample(path: str | Path) -> CounterexampleRecord:
         rhs=np.array([float(c) for c in get("rhs").split(",")]),
         min_slack=float(get("min_slack")),
         exact_min_slack=float(get("exact_min_slack")),
+        enclosure=tuple(float(c) for c in get("enclosure").strip("[]").split(",")),
     )
 
 
@@ -578,10 +591,15 @@ class FuzzCandidate:
 
 @dataclass(frozen=True)
 class NearMiss:
+    """A screened coordinate's decision.  `enclosure` holds the real min
+    slack; `exact_min_slack` is the value the outcome rests on (see
+    `_decided_slack`)."""
+
     label: str
     min_slack: float
     exact_min_slack: float
     outcome: str  # "cleared" or "confirmed"
+    enclosure: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -784,45 +802,230 @@ def _sides(
     return lhs[0], rhs[0]
 
 
+class _Interval:
+    """[lo, hi] of float64 arrays in which every +, -, *, / and sqrt result
+    is widened one ulp outward.  A round-to-nearest result lies within half
+    an ulp of the exact one, so each result holds the real-arithmetic value
+    of the operation on any points of its operands.  Only what
+    `moment_step` and the inequality sides use is defined.
+
+    An endpoint that is not NaN is a valid bound.  Division by an interval
+    holding 0 gives [NaN, NaN], and NaN spreads to every result it enters,
+    so comparisons against it decide nothing.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def _out(cls, lo, hi):
+        return cls(np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf))
+
+    @classmethod
+    def _hull(cls, a, b, c, d):
+        # np.minimum and np.maximum propagate NaN
+        return cls._out(np.minimum(np.minimum(a, b), np.minimum(c, d)),
+                        np.maximum(np.maximum(a, b), np.maximum(c, d)))
+
+    def __add__(self, o):
+        return self._out(self.lo + o.lo, self.hi + o.hi)
+
+    def __sub__(self, o):
+        return self._out(self.lo - o.hi, self.hi - o.lo)
+
+    def __rsub__(self, k):
+        return self._out(k - self.hi, k - self.lo)
+
+    def __mul__(self, o):
+        return self._hull(self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+
+    def __truediv__(self, o):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = self._hull(self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
+        zero = (o.lo <= 0.0) & (o.hi >= 0.0)
+        return type(self)(np.where(zero, np.nan, q.lo), np.where(zero, np.nan, q.hi))
+
+    def sqrt(self):
+        return self._out(np.sqrt(np.maximum(self.lo, 0.0)), np.sqrt(self.hi))
+
+
+class _ScalarInterval(_Interval):
+    """`_Interval` on Python floats: for one sequence, a scalar loop is
+    about 8x faster than the same loop on arrays of one element."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _out(cls, lo, hi):
+        return cls(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+
+    @classmethod
+    def _hull(cls, a, b, c, d):
+        if math.isnan(a + b + c + d):  # builtin min and max may skip a NaN
+            return cls(math.nan, math.nan)
+        return cls._out(min(a, b, c, d), max(a, b, c, d))
+
+    def __truediv__(self, o):
+        if o.lo <= 0.0 <= o.hi:
+            return _ScalarInterval(math.nan, math.nan)
+        return self._hull(self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
+
+    def sqrt(self):
+        return self._out(math.sqrt(max(self.lo, 0.0)), math.sqrt(self.hi))
+
+
+def _where(mask: np.ndarray, a: _Interval, b: _Interval) -> _Interval:
+    return _Interval(np.where(mask, a.lo, b.lo), np.where(mask, a.hi, b.hi))
+
+
+def _coeff_enclosure(p: HyperParams, rhs_coeff: float | None) -> _ScalarInterval:
+    """The rhs coefficient: `rhs_coeff` as a point, or an enclosure of the
+    canonical 2 / ((1 - gamma) sqrt(1 - beta2)) of the double parameters."""
+    if rhs_coeff is not None:
+        return _ScalarInterval(rhs_coeff, rhs_coeff)
+    beta1 = _ScalarInterval(p.beta1, p.beta1)
+    beta2 = _ScalarInterval(p.beta2, p.beta2)
+    gamma = beta1 * beta1 / beta2.sqrt()
+    return _ScalarInterval(2.0, 2.0) / ((1 - gamma) * (1 - beta2).sqrt())
+
+
+def _slack_enclosure(
+    g: np.ndarray,
+    t_arr: np.ndarray,
+    params: list[HyperParams],
+    rhs_coeffs: list[float | None],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): per row of a batch, an enclosure of the real-arithmetic
+    min slack over coordinates, for the double inputs.
+
+    The batch is laid out as for `_batch_sides`, with one coefficient per
+    row (None for the canonical one), and runs `moment_step` on
+    `_Interval` values.  A term counts from the first nonzero gradient of
+    its coordinate on: exactly where the real v_hat is positive.
+    """
+    b, t_max, d = g.shape
+    coeffs = [_coeff_enclosure(p, c) for p, c in zip(params, rhs_coeffs)]
+    if b == 1:
+        p, coeff, T = params[0], coeffs[0], int(t_arr[0])
+        slack = np.array([_scalar_slack(g[0, :T, i].tolist(), p, coeff) for i in range(d)])
+        lo, hi = slack.reshape(d, 2).min(axis=0)  # NaN propagates
+        return np.array([lo]), np.array([hi])
+
+    def column(values):
+        x = np.array(values)[:, None]
+        return _Interval(x, x)
+
+    beta1 = column([p.beta1 for p in params])
+    beta2 = column([p.beta2 for p in params])
+    lam = column([p.lam for p in params])
+    one = column(np.ones(b))
+    zero = np.zeros((b, d))
+    m = v = lhs = sumsq = _Interval(zero, zero)
+    pows = (one, one, one)
+    seen = np.zeros((b, d), dtype=bool)
+    for t in range(1, t_max + 1):
+        gt = g[:, t - 1, :]
+        x = _Interval(gt, gt)
+        m, v, m_hat, v_hat, pows = moment_step(m, v, x, pows, beta1, beta2, lam)
+        seen |= gt != 0.0
+        now = (t_arr >= t)[:, None]
+        live = seen & now
+        term = m_hat * m_hat / (_Interval(float(t), float(t)) * v_hat).sqrt()
+        lhs = _where(live, lhs + term, lhs)
+        sumsq = _where(now, sumsq + x * x, sumsq)
+    coeff = _Interval(np.array([c.lo for c in coeffs])[:, None],
+                      np.array([c.hi for c in coeffs])[:, None])
+    slack = coeff * sumsq.sqrt() - lhs
+    return slack.lo.min(axis=1), slack.hi.min(axis=1)  # NaN propagates
+
+
+def _scalar_slack(g_col: list[float], p: HyperParams, coeff: _ScalarInterval) -> tuple[float, float]:
+    """Enclosure of one coordinate's real slack: `_slack_enclosure`'s loop
+    on Python floats."""
+    S = _ScalarInterval
+    beta1, beta2, lam = S(p.beta1, p.beta1), S(p.beta2, p.beta2), S(p.lam, p.lam)
+    one = S(1.0, 1.0)
+    m = v = lhs = sumsq = S(0.0, 0.0)
+    pows = (one, one, one)
+    seen = False
+    for t, gt in enumerate(g_col, start=1):
+        x = S(gt, gt)
+        m, v, m_hat, v_hat, pows = moment_step(m, v, x, pows, beta1, beta2, lam)
+        sumsq = sumsq + x * x
+        seen = seen or gt != 0.0
+        if seen:
+            lhs = lhs + m_hat * m_hat / (S(float(t), float(t)) * v_hat).sqrt()
+    slack = coeff * sumsq.sqrt() - lhs
+    return slack.lo, slack.hi
+
+
+def _decided_slack(
+    lo: float, hi: float, seq: GradSequence, params: HyperParams, rhs_coeff: float | None
+) -> float:
+    """The min slack a verdict rests on, from its enclosure [lo, hi]: hi
+    when hi < 0 (a proven violation), lo when lo >= 0 (proven to hold),
+    else the 200-bit value of `conjecture_sides_exact`.  The verdict is
+    "violated" exactly when the returned slack is negative."""
+    if hi < 0.0:
+        return hi
+    if lo >= 0.0:
+        return lo
+    return conjecture_sides_exact(seq, params, rhs_coeff=rhs_coeff)[2]
+
+
 def _escalate(
-    label: str,
-    params: HyperParams,
-    seq: GradSequence,
-    rhs_coeff: float | None,
-    double_slack: float,
-    out_dir: Path | None,
-    summary: FuzzSummary,
+    near: list[tuple[FuzzCandidate, float]], out_dir: Path | None, summary: FuzzSummary
 ) -> None:
-    """Extended-precision re-evaluation of a near-miss; confirmed violations
-    are serialized for replay."""
-    lhs_x, rhs_x, exact_slack = conjecture_sides_exact(seq, params, rhs_coeff=rhs_coeff)
-    outcome = "confirmed" if exact_slack < 0.0 else "cleared"
-    summary.near_misses.append(
-        NearMiss(label=label, min_slack=double_slack, exact_min_slack=exact_slack, outcome=outcome)
-    )
-    if outcome != "confirmed":
-        return
-    lhs, rhs = _sides(seq.g, params, rhs_coeff=rhs_coeff)
-    record = CounterexampleRecord(
-        label=label,
-        params=params,
-        T=seq.T,
-        d=seq.d,
-        g=np.asarray(seq.g),
-        g_inf_cap=seq.g_inf_cap,
-        rhs_coeff=_rhs_coefficient(params) if rhs_coeff is None else rhs_coeff,
-        lhs=lhs,
-        rhs=rhs,
-        min_slack=float(np.min(rhs - lhs)),
-        exact_min_slack=exact_slack,
-    )
-    path = None
-    if out_dir is not None:
-        ce_dir = Path(out_dir) / "counterexamples"
-        ce_dir.mkdir(parents=True, exist_ok=True)
-        path = str(ce_dir / f"ce_{label}.txt")
-        write_counterexample(path, record)
-    summary.violations.append(Violation(label=label, record=record, path=path))
+    """Decide a group of near misses, given with their double min slacks,
+    in order.  One `_slack_enclosure` call per gradient width d encloses
+    them all; confirmed violations are serialized for replay."""
+    lo = np.empty(len(near))
+    hi = np.empty(len(near))
+    for d in {cand.seq.d for cand, _ in near}:
+        rows = [k for k, (cand, _) in enumerate(near) if cand.seq.d == d]
+        group = [near[k][0] for k in rows]
+        t_arr = np.array([cand.seq.T for cand in group])
+        g = np.zeros((len(group), int(t_arr.max()), d))
+        for row, cand in zip(g, group):
+            row[:cand.seq.T] = cand.seq.g
+        lo[rows], hi[rows] = _slack_enclosure(
+            g, t_arr, [c.params for c in group], [c.rhs_coeff for c in group])
+
+    for (cand, double_slack), slack_lo, slack_hi in zip(near, lo.tolist(), hi.tolist()):
+        label, params, seq, rhs_coeff = cand.label, cand.params, cand.seq, cand.rhs_coeff
+        slack = _decided_slack(slack_lo, slack_hi, seq, params, rhs_coeff)
+        outcome = "confirmed" if slack < 0.0 else "cleared"
+        summary.near_misses.append(NearMiss(
+            label=label, min_slack=double_slack, exact_min_slack=slack, outcome=outcome,
+            enclosure=(slack_lo, slack_hi),
+        ))
+        if outcome != "confirmed":
+            continue
+        lhs, rhs = _sides(seq.g, params, rhs_coeff=rhs_coeff)
+        record = CounterexampleRecord(
+            label=label,
+            params=params,
+            T=seq.T,
+            d=seq.d,
+            g=np.asarray(seq.g),
+            g_inf_cap=seq.g_inf_cap,
+            rhs_coeff=_rhs_coefficient(params) if rhs_coeff is None else rhs_coeff,
+            lhs=lhs,
+            rhs=rhs,
+            min_slack=float(np.min(rhs - lhs)),
+            exact_min_slack=slack,
+            enclosure=(slack_lo, slack_hi),
+        )
+        path = None
+        if out_dir is not None:
+            ce_dir = Path(out_dir) / "counterexamples"
+            ce_dir.mkdir(parents=True, exist_ok=True)
+            path = str(ce_dir / f"ce_{label}.txt")
+            write_counterexample(path, record)
+        summary.violations.append(Violation(label=label, record=record, path=path))
 
 
 def conjecture_fuzz(
@@ -842,9 +1045,11 @@ def conjecture_fuzz(
     Trial k draws its gradient sequence from one of four families (uniform,
     clipped Gaussian, sparse with zero runs, tiny-runs-then-spike) using the
     stream derived from (seed, k), and cycles through `param_grid`.  Any
-    coordinate with slack below `screen_factor * rhs` is re-evaluated in
-    extended precision; only a confirmed negative slack counts as a
-    violation.  Violations are findings, not failures.
+    coordinate with slack below `screen_factor * rhs` is a near miss.  The
+    near misses of each batch, and the injected ones, are enclosed
+    together in interval arithmetic; only a proven negative slack counts
+    as a violation (`_decided_slack`).  Violations are findings, not
+    failures.
 
     The global minimum slack, its argmin sequence, the relative-slack
     minimum over coordinates with rhs > 0, the near-miss escalation log,
@@ -874,14 +1079,13 @@ def conjecture_fuzz(
     if out_path is not None:
         (out_path / "counterexamples").mkdir(parents=True, exist_ok=True)
 
+    near = []
     for cand in injected or []:
         lhs, rhs = _sides(cand.seq.g, cand.params, rhs_coeff=cand.rhs_coeff)
         slack = rhs - lhs
         if np.any(slack < screen_factor * rhs):
-            _escalate(
-                cand.label, cand.params, cand.seq, cand.rhs_coeff,
-                float(np.min(slack)), out_path, summary,
-            )
+            near.append((cand, float(np.min(slack))))
+    _escalate(near, out_path, summary)
 
     argmin_trial = -1
     argmin_rel_trial = -1
@@ -911,15 +1115,16 @@ def conjecture_fuzz(
                 summary.min_rel_slack = float(rel_min[j_rel])
                 argmin_rel_trial = start + j_rel
 
-        near = np.any(slack < screen_factor * rhs, axis=1)
-        for j in np.flatnonzero(near):
-            k = start + int(j)
-            T = int(t_arr[j])
-            seq = GradSequence(d=d, g=g[j, :T, :], g_inf_cap=g_inf_cap)
-            _escalate(
-                f"trial{k}", batch_params[j], seq, None,
-                float(trial_min[j]), out_path, summary,
-            )
+        near = [
+            (FuzzCandidate(label=f"trial{start + j}", params=batch_params[j],
+                           seq=GradSequence(d=d, g=g[j, :t_arr[j], :], g_inf_cap=g_inf_cap)),
+             float(trial_min[j]))
+            for j in np.flatnonzero(np.any(slack < screen_factor * rhs, axis=1)).tolist()
+        ]
+        _escalate(near, out_path, summary)
+        # free this batch before the next is drawn: holding two at once let
+        # the allocator keep two or three batches resident at peak RSS
+        del g
 
     if argmin_trial >= 0:
         summary.argmin_label = f"trial{argmin_trial}"
@@ -961,10 +1166,12 @@ def fuzz_summary_text(s: FuzzSummary) -> str:
     for nm in s.near_misses:
         lines.append(
             f"  {nm.label}: double slack={fmt17(nm.min_slack)} "
+            f"enclosure={_fmt_interval(nm.enclosure)} "
             f"exact slack={fmt17(nm.exact_min_slack)} -> {nm.outcome}"
         )
     lines.append(f"confirmed violations: {len(s.violations)}")
     for v in s.violations:
-        where = v.path if v.path is not None else "(not serialized)"
+        # relative to the output directory, so the summary does not depend on it
+        where = f"counterexamples/{Path(v.path).name}" if v.path is not None else "(not serialized)"
         lines.append(f"  {v.label}: {where}")
     return "\n".join(lines) + "\n"

@@ -1,7 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import iv
+
+from adamcheck import analysis
 
 from adamcheck.core import (
     GradSequence,
@@ -9,7 +14,7 @@ from adamcheck.core import (
     Trajectory,
     seeded_rng,
 )
-from adamcheck.optimizers import adam_run
+from adamcheck.optimizers import adam_run, moment_step
 from adamcheck.problems import quadratic_problem, evaluate
 from adamcheck.analysis import (
     BoundReport,
@@ -18,6 +23,7 @@ from adamcheck.analysis import (
     _batch_sides,
     _rhs_coefficient,
     _sides,
+    _slack_enclosure,
     _trial_batch,
     average_regret_series,
     conjecture_fuzz,
@@ -26,6 +32,7 @@ from adamcheck.analysis import (
     default_fuzz_grid,
     default_param_grid,
     error_sum,
+    fuzz_summary_text,
     geometric_sum_bound_check,
     geometric_sum_closed_form,
     load_counterexample,
@@ -203,6 +210,141 @@ def test_batch_engine_matches_reference_sides():
 
 
 # ---------------------------------------------------------------------------
+# interval enclosure of the min slack
+# ---------------------------------------------------------------------------
+
+def _iv_min_slack(g, p, rhs_coeff):
+    """Independent enclosure: `moment_step` on mpmath.iv intervals."""
+    T, d = g.shape
+    b1, b2, lam = iv.mpf(p.beta1), iv.mpf(p.beta2), iv.mpf(p.lam)
+    if rhs_coeff is None:
+        coeff = 2 / ((1 - b1 * b1 / iv.sqrt(b2)) * iv.sqrt(1 - b2))
+    else:
+        coeff = iv.mpf(rhs_coeff)
+    slacks = []
+    for i in range(d):
+        m = v = lhs = sumsq = iv.mpf(0)
+        pows = (iv.mpf(1), iv.mpf(1), iv.mpf(1))
+        seen = False
+        for t in range(1, T + 1):
+            gt = iv.mpf(float(g[t - 1, i]))
+            m, v, m_hat, v_hat, pows = moment_step(m, v, gt, pows, b1, b2, lam)
+            sumsq += gt * gt
+            seen = seen or g[t - 1, i] != 0.0
+            if seen:
+                lhs += m_hat * m_hat / iv.sqrt(t * v_hat)
+        slacks.append(coeff * iv.sqrt(sumsq) - lhs)
+    return min(s.a for s in slacks), min(s.b for s in slacks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 64), d=st.integers(1, 3),
+       grid_index=st.integers(0, len(default_fuzz_grid()) - 1),
+       shift=st.one_of(st.none(), st.floats(-1e-6, 1e-6), st.floats(-0.5, 0.0)))
+def test_enclosure_contains_exact_and_interval_reference(seed, T, d, grid_index, shift):
+    # shift None: the canonical coefficient; else the tightest coefficient
+    # of the sequence, shrunken or grown by the relative shift
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(-1.0, 1.0, size=(T, d)) * 10.0 ** rng.uniform(-8, 0, size=d)
+    g[:, rng.random(d) < 0.3] = 0.0
+    g[rng.random((T, d)) < 0.2] = 0.0
+    p = default_fuzz_grid()[grid_index]
+    coeff = None
+    if shift is not None:
+        lhs, _ = _sides(g, p, rhs_coeff=1.0)
+        norms = np.sqrt(np.sum(g * g, axis=0))
+        tight = np.max(np.where(norms > 0, lhs / np.where(norms > 0, norms, 1.0), 0.0))
+        coeff = float(tight) * (1.0 + shift) if tight > 0 else 1.0
+    lo, hi = _slack_enclosure(g[None], np.array([T]), [p], [coeff])
+    lo, hi = float(lo[0]), float(hi[0])
+    exact = conjecture_sides_exact(GradSequence(d=d, g=g, g_inf_cap=1.0), p, rhs_coeff=coeff)[2]
+    assert lo <= exact <= hi
+    iv_lo, iv_hi = _iv_min_slack(g, p, coeff)
+    assert max(iv_lo, lo) <= min(iv_hi, hi)
+    # the batched array path gives the scalar path's bits, next to a
+    # shorter trial with other parameters
+    other = default_fuzz_grid()[(grid_index + 1) % len(default_fuzz_grid())]
+    T2 = 1 + seed % T
+    short = np.zeros_like(g)
+    short[:T2] = g[:T2]
+    lo2, hi2 = _slack_enclosure(np.stack([g, short]), np.array([T, T2]), [p, other], [coeff, None])
+    assert (lo2[0], hi2[0]) == (lo, hi)
+    assert (lo2[1], hi2[1]) == tuple(
+        float(x[0]) for x in _slack_enclosure(g[None, :T2], np.array([T2]), [other], [None]))
+
+
+def boundary_candidate(label, seed, T, factor):
+    """Uniform d = 1 candidate whose coefficient is factor * lhs/||g||."""
+    p = HyperParams(beta1=0.9, beta2=0.999, lam=0.999)
+    g = seeded_rng(seed).uniform(-1.0, 1.0, size=T).reshape(T, 1)
+    seq = GradSequence(d=1, g=g, g_inf_cap=1.0)
+    coeff = float(conjecture_sides(seq, p).lhs[0]) / float(np.linalg.norm(g)) * factor
+    return FuzzCandidate(label=label, params=p, seq=seq, rhs_coeff=coeff)
+
+
+def test_straddling_enclosure_defers_to_exact_pass(tmp_path):
+    # a coefficient of lhs/||g|| in float64 puts the real slack within
+    # rounding of 0: only that row may call the 200-bit pass, and it takes
+    # that call's verdict; the proven rows call it zero times
+    cands = [boundary_candidate("confirmed", 71, 24, 0.5),
+             boundary_candidate("cleared", 79, 16, 1.0 + 5e-7),
+             boundary_candidate("straddle", 83, 40, 1.0)]
+    straddle = cands[2]
+    p = straddle.params
+    lo, hi = _slack_enclosure(straddle.seq.g[None], np.array([40]), [p], [straddle.rhs_coeff])
+    assert lo[0] < 0.0 <= hi[0]
+
+    exact = conjecture_sides_exact(straddle.seq, p, rhs_coeff=straddle.rhs_coeff)[2]
+    with mock.patch.object(analysis, "conjecture_sides_exact",
+                           wraps=conjecture_sides_exact) as spy:
+        summary = conjecture_fuzz(0, 40, 1, default_fuzz_grid(), seed=3, out_dir=tmp_path,
+                                  injected=cands)
+    assert [call.args[0] for call in spy.call_args_list] == [straddle.seq]
+    by_label = {nm.label: nm for nm in summary.near_misses}
+    assert list(by_label) == ["confirmed", "cleared", "straddle"]
+    assert by_label["confirmed"].outcome == "confirmed"
+    assert by_label["confirmed"].exact_min_slack == by_label["confirmed"].enclosure[1] < 0
+    assert by_label["cleared"].outcome == "cleared"
+    assert by_label["cleared"].exact_min_slack == by_label["cleared"].enclosure[0] >= 0
+    nm = by_label["straddle"]
+    assert nm.exact_min_slack == exact
+    assert nm.outcome == ("confirmed" if exact < 0 else "cleared")
+    assert nm.enclosure == (lo[0], hi[0])
+
+
+def test_undecided_enclosure_defers_to_exact_pass():
+    # 1e-170 squared underflows to 0, so the enclosure of t * v_hat holds
+    # 0 and the division decides nothing (NaN); the 200-bit pass decides
+    p = HyperParams(beta1=0.9, beta2=0.999, lam=0.999)
+    g = np.array([[0.5, 1e-170]] * 4)
+    seq = GradSequence(d=2, g=g, g_inf_cap=1.0)
+    lo, hi = _slack_enclosure(np.stack([g, g]), np.array([4, 4]), [p, p], [None, None])
+    assert np.isnan(lo).all() and np.isnan(hi).all()
+    lo, hi = _slack_enclosure(g[None], np.array([4]), [p], [None])
+    assert np.isnan(lo[0]) and np.isnan(hi[0])
+    exact = conjecture_sides_exact(seq, p)[2]
+    with mock.patch.object(analysis, "conjecture_sides_exact",
+                           wraps=conjecture_sides_exact) as spy:
+        assert analysis._decided_slack(lo[0], hi[0], seq, p, None) == exact > 0
+    assert spy.call_count == 1
+
+
+def test_library_proves_first_power_law_violation():
+    # g_t = t**-0.5 first violates the inequality at T = 25 896 on
+    # (0.3, 0.5, 0.9); the enclosure proves it without the 200-bit pass
+    p = HyperParams(eta=0.001, beta1=0.3, beta2=0.5, lam=0.9, epsilon=1e-8)
+    T = 25_896
+    g = (np.arange(1, T + 1, dtype=np.float64) ** -0.5).reshape(T, 1)
+    seq = GradSequence(d=1, g=g, g_inf_cap=1.0)
+    with mock.patch.object(analysis, "conjecture_sides_exact", side_effect=AssertionError):
+        assert conjecture_sides(seq, p).violated
+        assert not conjecture_sides(GradSequence(d=1, g=g[:-1], g_inf_cap=1.0), p).violated
+    lo, hi = _slack_enclosure(g[None], np.array([T]), [p], [None])
+    assert hi[0] < 0
+    assert lo[0] <= conjecture_sides_exact(seq, p)[2] <= hi[0]
+
+
+# ---------------------------------------------------------------------------
 # auxiliary chains
 # ---------------------------------------------------------------------------
 
@@ -329,10 +471,11 @@ def make_record(label="unit", rhs_coeff=None):
     p = HyperParams(beta1=0.9, beta2=0.999, lam=0.99)
     coeff = _rhs_coefficient(p) if rhs_coeff is None else rhs_coeff
     lhs, rhs = _sides(g, p, rhs_coeff=coeff)
+    lo, hi = _slack_enclosure(g[None], np.array([6]), [p], [coeff])
     return CounterexampleRecord(
         label=label, params=p, T=6, d=2, g=g, g_inf_cap=1.0, rhs_coeff=coeff,
         lhs=lhs, rhs=rhs, min_slack=float(np.min(rhs - lhs)),
-        exact_min_slack=float(np.min(rhs - lhs)),
+        exact_min_slack=float(lo[0]), enclosure=(float(lo[0]), float(hi[0])),
     )
 
 
@@ -346,6 +489,7 @@ def test_counterexample_round_trip(tmp_path):
     assert np.array_equal(back.g, rec.g)
     assert np.array_equal(back.lhs, rec.lhs)
     assert back.min_slack == rec.min_slack
+    assert back.enclosure == rec.enclosure
 
 
 def test_load_counterexample_names_missing_key(tmp_path):
@@ -458,6 +602,21 @@ def test_fuzz_near_miss_is_escalated_and_cleared(tmp_path):
     assert len(summary.near_misses) == 1
     assert summary.near_misses[0].outcome == "cleared"
     assert not summary.violation_found
+
+
+def test_fuzz_tree_does_not_depend_on_out_dir(tmp_path):
+    cands = [boundary_candidate(f"c{k}", 100 + k, 32, 1.0 - 1e-9 if k % 2 == 0 else 1.0 + 1e-9)
+             for k in range(6)]
+    trees = []
+    for out in (tmp_path / "a", tmp_path / "b" / "deeper"):
+        summary = conjecture_fuzz(200, 32, 1, default_fuzz_grid(), seed=3, out_dir=out,
+                                  injected=cands)
+        (out / "fuzz_summary.txt").write_text(fuzz_summary_text(summary))
+        trees.append({path.relative_to(out): path.read_bytes() for path in out.rglob("*.txt")})
+    assert {nm.outcome for nm in summary.near_misses} == {"confirmed", "cleared"}
+    assert len(trees[0]) == 1 + len(summary.violations)
+    assert trees[0] == trees[1]
+    assert all(str(v.path).startswith(str(tmp_path / "b" / "deeper")) for v in summary.violations)
 
 
 def test_report_serializers():
