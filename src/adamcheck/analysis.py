@@ -105,13 +105,9 @@ class BoundReport:
     slack: float
 
 
-def error_sum(
-    traj: Trajectory, problem: ConvexProblem, w_star, T: int | None = None
-) -> float:
+def error_sum(traj: Trajectory, problem: ConvexProblem, w_star) -> float:
     """Cumulative excess objective sum_t (e_t(w_t) - e_t(w*)), where w_t is
     the iterate at which the step-t gradient was taken."""
-    if T is not None and T != traj.T:
-        raise ValueError(f"horizon mismatch: trajectory has T={traj.T}, caller expects T={T}")
     w_star = np.asarray(w_star, dtype=np.float64).reshape(-1)
     if len(w_star) != traj.d:
         raise ValueError(f"w_star has length {len(w_star)}, trajectory d={traj.d}")
@@ -123,76 +119,47 @@ def error_sum(
     return total
 
 
-_D2_GROUP = 64  # rows per group in the pair-pruning pass of _l2_diameter
+_D2_GROUP = 64  # rows per group, and groups per slice, in _l2_diameter
 
 
-def _l2_diameter(pts: np.ndarray, chunk: int = 256) -> float:
+def _sum_sq(diffs):
+    """Sum of the squares of the coordinate arrays `diffs`, added in index
+    order: numpy's own sums pick their order by the shape of the array."""
+    total = 0.0
+    for diff in diffs:
+        total = total + diff * diff
+    return total
+
+
+def _l2_diameter(pts: np.ndarray) -> float:
     """Exact max pairwise 2-norm distance; close to O(n d) on trajectories.
 
-    The value is the largest Gram-formula squared distance
-    sq_i + sq_j - 2 p_i.p_j, where row i's products come from the matrix
-    product of its `chunk`-row block against all points: the full O(n**2)
-    scan, bit for bit.  Only the rows that can hold that maximum get their
-    block product:
-
-    1. Rows that cannot reach a known distance are dropped.  With c the
-       bounding-box midpoint and r_i = ||p_i - c||, no distance from p_i
-       exceeds r_i + max_j r_j.
-    2. The rest, in order, form groups of _D2_GROUP rows.  Pairs of groups
-       whose bounding boxes are too close are skipped; the other pairs give
-       every row its largest distance, up to rounding.
-    3. Rows within rounding of the largest are evaluated as in the full
-       scan.  A row's rounding depends on the shape of the product it is
-       computed in, so only step 3 decides the returned bits.
-
-    Every comparison is widened by a bound on the rounding error of the
-    Gram formula in any summation order, so no row holding the maximum is
-    ever dropped.
+    The value is the largest squared distance sum_k (p_ik - p_jk)**2,
+    summed by _sum_sq: the full O(n**2) scan, bit for bit.  Row 0's
+    distances to every row give a first lower bound.  The rows then form
+    groups of _D2_GROUP consecutive rows, and a pair of groups is skipped
+    when its box bound, _sum_sq of far_k = max(hi_a,k - lo_b,k,
+    hi_b,k - lo_a,k), does not exceed the lower bound.  Rounding to nearest
+    is monotone, so the box bound is >= every computed distance in the two
+    groups, and the pruning is exact.  Partners are evaluated _D2_GROUP
+    groups at a time, so a block of distances holds at most _D2_GROUP**3.
     """
     n, d = pts.shape
-    sq = np.einsum("ij,ij->i", pts, pts)
-    off = pts - 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-    r = np.sqrt(np.einsum("ij,ij->i", off, off))
-    k = int(np.argmax(r))
-    lower = float(np.max(sq[k] + sq - 2.0 * (pts @ pts[k])))
-    # Every computed squared distance is within err of the exact one, in
-    # any summation order, and a computed bound is within the factor widen.
-    # So `lower` exceeds the full scan's maximum M by at most 2 err, and the
-    # pair holding M has an exact distance, hence a widened bound, >= M - err.
-    eps = np.finfo(np.float64).eps
-    err = 4.0 * (d + 2) * eps * float(sq.max())
-    widen = 1.0 + 4.0 * (d + 5) * eps
-
-    def may_reach(bound_sq):
-        # written as "not below" so that NaN bounds are kept
-        return ~(bound_sq * widen + 3.0 * err < lower)
-
-    live = np.flatnonzero(may_reach((r + r[k]) ** 2))
-    starts = np.arange(0, len(live), _D2_GROUP)
-    box_lo = np.minimum.reduceat(pts[live], starts)
-    box_hi = np.maximum.reduceat(pts[live], starts)
-    row_max = np.full(n, -np.inf)
+    best = float(np.max(_sum_sq(pts[:, k] - pts[0, k] for k in range(d))))
+    starts = np.arange(0, n, _D2_GROUP)
+    lo = np.minimum.reduceat(pts, starts)
+    hi = np.maximum.reduceat(pts, starts)
+    offsets = np.arange(_D2_GROUP)
     for a, start in enumerate(starts):
-        far = np.maximum(box_hi[a] - box_lo[a:], box_hi[a:] - box_lo[a])
-        partners = a + np.flatnonzero(may_reach(np.einsum("ij,ij->i", far, far)))
-        if len(partners) == 0:
-            continue
-        rows = live[start:start + _D2_GROUP]
-        cols = np.concatenate([live[starts[b]:starts[b] + _D2_GROUP] for b in partners])
-        block = sq[rows, None] + sq[None, cols] - 2.0 * (pts[rows] @ pts[cols].T)
-        row_max[rows] = np.maximum(row_max[rows], block.max(axis=1))
-        row_max[cols] = np.maximum(row_max[cols], block.max(axis=0))
-        lower = max(lower, float(block.max()))
-
-    # The row holding M reaches M - 2 err here; no row exceeds M + 2 err.
-    top = np.flatnonzero(~(row_max < row_max.max() - 4.0 * err))
-    best = 0.0
-    for lo in np.unique(top // chunk) * chunk:
-        rows = top[(top >= lo) & (top < lo + chunk)]
-        gram = pts[lo:lo + chunk] @ pts.T
-        block = sq[rows, None] + sq[None, :] - 2.0 * gram[rows - lo]
-        best = max(best, float(block.max()))
-    return math.sqrt(max(best, 0.0))
+        rows = pts[start:start + _D2_GROUP]
+        reach = _sum_sq(np.maximum(hi[a] - lo[a:], hi[a:] - lo[a]).T)
+        partners = a + np.flatnonzero(reach > best)
+        for s in range(0, len(partners), _D2_GROUP):
+            idx = (starts[partners[s:s + _D2_GROUP], None] + offsets).ravel()
+            cols = pts[idx[idx < n]]
+            sq = _sum_sq(rows[:, None, k] - cols[None, :, k] for k in range(d))
+            best = max(best, float(sq.max()))
+    return math.sqrt(best)
 
 
 def theorem_bound(traj: Trajectory, w_star, problem: ConvexProblem) -> BoundReport:

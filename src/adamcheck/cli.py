@@ -268,7 +268,8 @@ def cmd_run(config: RunConfig) -> int:
         theorem_bound(traj.prefix(h), w_star, problem) for h, w_star in zip(horizons, w_stars)
     ]
 
-    (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
+    with open(out / "trajectory.csv", "w") as f:
+        trajectory_to_csv(traj, f)
     (out / "bound_report.csv").write_text(bound_reports_csv(reports))
 
     lines = _config_echo(config)

@@ -396,8 +396,10 @@ _TRAJECTORY_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"  # %.17g is fmt17
 _CSV_STEPS = 4096  # steps per block of rows, which bounds the temporary lists
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    parts = [TRAJECTORY_HEADER + "\n"]
+def trajectory_to_csv(traj: Trajectory, f) -> None:
+    """Write the CSV into the text file object f, one block of rows at a
+    time."""
+    f.write(TRAJECTORY_HEADER + "\n")
     d = traj.d
     for lo in range(0, traj.T, _CSV_STEPS):
         hi = min(lo + _CSV_STEPS, traj.T)
@@ -412,8 +414,7 @@ def trajectory_to_csv(traj: Trajectory) -> str:
             traj.w[lo + 1:hi + 1].ravel(),
         )
         rows = zip(*(c.tolist() for c in columns))
-        parts.append("".join([_TRAJECTORY_ROW % row + "\n" for row in rows]))
-    return "".join(parts)
+        f.write("".join([_TRAJECTORY_ROW % row + "\n" for row in rows]))
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:

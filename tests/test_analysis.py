@@ -69,13 +69,6 @@ def test_error_sum_hand_value():
     assert error_sum(traj, p, [0.0]) == pytest.approx(1.5, rel=1e-15)
 
 
-def test_error_sum_horizon_mismatch():
-    p = quadratic_problem(np.eye(1), np.zeros(1))
-    traj = constant_w_trajectory(1.0, 0.5, 3)
-    with pytest.raises(ValueError, match="horizon mismatch"):
-        error_sum(traj, p, [0.0], T=4)
-
-
 def test_error_sum_requires_objective_values():
     p = quadratic_problem(np.eye(1), np.zeros(1))
     traj = constant_w_trajectory(1.0, math.nan, 2)

@@ -1,3 +1,7 @@
+import hashlib
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +10,7 @@ from adamcheck.core import (
     AdamState,
     GradSequence,
     HyperParams,
+    Trajectory,
     parse_kv_text,
     seeded_rng,
     trajectory_from_csv,
@@ -109,6 +114,21 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
+def _csv(traj):
+    f = io.StringIO()
+    trajectory_to_csv(traj, f)
+    return f.getvalue()
+
+
+def _assert_file_bytes(traj, path, sha256):
+    # the file gets the same bytes as the text, and those are pinned
+    with open(path, "w") as f:
+        trajectory_to_csv(traj, f)
+    data = path.read_bytes()
+    assert data == _csv(traj).encode()
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 40), d=st.integers(1, 6),
        epsilon=st.sampled_from([0.0, 1e-8, 0.5]))
@@ -175,7 +195,7 @@ def test_prefix_equals_shorter_run(h):
     assert (prefix.T, prefix.d, prefix.params) == (h, 3, p)
     for name in ("w", "g", "m_hat", "v_hat", "e"):
         assert _bits(getattr(prefix, name)) == _bits(getattr(short, name)), name
-    assert trajectory_to_csv(prefix) == trajectory_to_csv(short)
+    assert _csv(prefix) == _csv(short)
     with pytest.raises(ValueError, match="prefix horizon"):
         full.prefix(31)
 
@@ -190,32 +210,57 @@ def test_run_determinism_byte_for_byte():
     p = HyperParams(eta=0.1)
     a = adam_run(np.array([1.0, -2.0]), _quadratic_oracle, p, 30)
     b = adam_run(np.array([1.0, -2.0]), _quadratic_oracle, p, 30)
-    assert trajectory_to_csv(a) == trajectory_to_csv(b)
+    assert _csv(a) == _csv(b)
 
 
-def test_trajectory_csv_round_trip():
+def test_trajectory_csv_round_trip(tmp_path):
     p = HyperParams(eta=0.1)
     traj = adam_run(np.array([0.3, -1.1]), _quadratic_oracle, p, 7)
-    text = trajectory_to_csv(traj)
+    text = _csv(traj)
     back = trajectory_from_csv(text, p)
     assert back.T == traj.T and back.d == traj.d
     for name in ("w", "g", "m_hat", "v_hat", "e"):
         assert _bits(getattr(back, name)) == _bits(getattr(traj, name)), name
     assert verify_replay(back)
-    assert trajectory_to_csv(back) == text
+    assert _csv(back) == text
+    _assert_file_bytes(
+        traj, tmp_path / "t.csv", "97dad9458c51e14a9d8a7eabcabae26662dac1c33b9da9ecc5fd6c46835a9cd7"
+    )
 
 
-def test_trajectory_csv_round_trip_keeps_nan_and_negative_zero():
+def test_trajectory_csv_round_trip_keeps_nan_and_negative_zero(tmp_path):
     # e is NaN when the run has no objective; -0.0 must keep its sign
     g_all = np.array([[-0.0, 1.0], [0.5, -0.0], [-0.0, -0.0]])
     p = HyperParams(eta=0.1)
     traj = adam_run(np.array([-0.0, 2.0]), lambda w, t: (float("nan"), g_all[t - 1]), p, 3)
-    text = trajectory_to_csv(traj)
+    text = _csv(traj)
     assert ",nan," in text and ",-0," in text
     back = trajectory_from_csv(text, p)
     for name in ("w", "g", "m_hat", "v_hat", "e"):
         assert _bits(getattr(back, name)) == _bits(getattr(traj, name)), name
-    assert trajectory_to_csv(back) == text
+    assert _csv(back) == text
+    _assert_file_bytes(
+        traj, tmp_path / "t.csv", "18f8ddb58d9f8736b5406068554f7360582b3595a84cb7935b0cb5073bf4a447"
+    )
+
+
+def test_trajectory_csv_memory_does_not_grow_with_the_run(tmp_path):
+    # rows are written one block at a time: 1e5 steps would be a 64 MB string
+    T, d = 100000, 5
+    rng = np.random.default_rng(3)
+    traj = Trajectory(
+        HyperParams(), rng.standard_normal((T + 1, d)), rng.standard_normal((T, d)),
+        rng.standard_normal((T, d)), rng.random((T, d)), rng.standard_normal(T),
+    )
+    with open(tmp_path / "t.csv", "w") as f:
+        tracemalloc.start()
+        try:
+            trajectory_to_csv(traj, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert (tmp_path / "t.csv").stat().st_size > 50 * 2 ** 20
 
 
 def _edit_row(lines, k, field, value):
@@ -262,7 +307,7 @@ def _negative_v_hat(lines):
 def test_trajectory_from_csv_rejects_inconsistent_rows(corrupt, message):
     p = HyperParams(eta=0.1)
     traj = adam_run(np.array([0.3, -1.1]), _quadratic_oracle, p, 4)
-    lines = trajectory_to_csv(traj).splitlines()
+    lines = _csv(traj).splitlines()
     corrupt(lines)
     with pytest.raises(ValueError, match=message):
         trajectory_from_csv("\n".join(lines) + "\n", p)
@@ -283,7 +328,7 @@ def test_trajectory_from_csv_rejects_malformed_text(text, message):
 def test_trajectory_csv_shape():
     p = HyperParams()
     traj = adam_run(np.zeros(3), _quadratic_oracle, p, 5)
-    lines = trajectory_to_csv(traj).splitlines()
+    lines = _csv(traj).splitlines()
     assert lines[0] == "t,i,w_before,g,e,m_hat,v_hat,w_after"
     assert len(lines) == 1 + 5 * 3
 

@@ -1,6 +1,7 @@
 """Each vectorized path is bitwise equal to the reference path it replaces."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -138,13 +139,20 @@ def test_noisy_summed_gradient_closed_form():
 # ---------------------------------------------------------------------------
 
 def _full_scan_l2_diameter(pts, chunk=256):
-    sq = np.einsum("ij,ij->i", pts, pts)
+    """Reference: every pair, sum_k (p_ik - p_jk)**2 added in index order."""
+    cols = pts.T.copy()
     best = 0.0
     for lo in range(0, len(pts), chunk):
-        hi = min(lo + chunk, len(pts))
-        block = sq[lo:hi, None] + sq[None, :] - 2.0 * (pts[lo:hi] @ pts.T)
-        best = max(best, float(block.max()))
-    return math.sqrt(max(best, 0.0))
+        # pairs (i, j) with j >= lo: the value is symmetric in i and j
+        rows = cols[:, lo:lo + chunk, None]
+        sq = np.zeros((rows.shape[1], len(pts) - lo))
+        diff = np.empty_like(sq)
+        for k in range(len(cols)):
+            np.subtract(rows[k], cols[k, None, lo:], out=diff)
+            np.multiply(diff, diff, out=diff)
+            sq += diff
+        best = max(best, float(sq.max()))
+    return math.sqrt(best)
 
 
 def _assert_same_diameter(pts):
@@ -162,9 +170,9 @@ def _cloud(seed, n, d, kind):
         return x / np.linalg.norm(x, axis=1, keepdims=True)
     if kind == "duplicates":
         return x[rng.integers(0, max(1, n // 4), size=n)]
-    if kind == "offset":  # the Gram formula cancels to a few bits, or to none
+    if kind == "offset":  # far from the origin compared with the spread
         return 1e-3 * x + 10.0 ** rng.uniform(0, 7) * rng.uniform(-1, 1, size=d)
-    if kind == "outlier":  # the last row, alone in its chunk, holds the maximum
+    if kind == "outlier":  # the last row, alone in its group, holds the maximum
         x[-1] = 50.0 * x[-1] / max(np.linalg.norm(x[-1]), 1e-300)
         return x
     if kind == "walk":  # a trajectory: shrinking steps from a far start
@@ -191,8 +199,9 @@ def test_pruned_diameter_edge_shapes(n, d, kind):
     (2482, 479, 11, "walk"),
 ])
 def test_pruned_diameter_pinned_hard_cases(seed, n, d, kind):
-    # Clouds on which the scan goes wrong without its rounding margins (the
-    # offsets) or without crediting a pair to both of its rows (the walk).
+    # Clouds that defeat a pruned scan with inexact bounds: the offsets
+    # through the Gram formula's rounding, the walk through pairs credited
+    # to one of their rows only.
     _assert_same_diameter(_cloud(seed, n, d, kind))
 
 
@@ -203,6 +212,30 @@ def test_pruned_diameter_identical_points():
 def test_pruned_diameter_long_walk():
     # 20 000 points: the pair pruning, not the full scan, does the work here
     _assert_same_diameter(_cloud(11, 20000, 5, "walk"))
+
+
+def test_diameter_of_points_far_from_the_origin():
+    # |p|^2 + |q|^2 - 2 p.q cancels to 0 here; the differences do not
+    assert _l2_diameter(np.array([[1e8, 0.0], [1e8 + 0.5, 0.0]])) == 0.5
+
+
+def test_pruning_keeps_a_pair_one_rounding_step_above_the_first_bound():
+    # the first row's distances reach 1; the pair (-2^-52, 1) is one
+    # rounding step above, and its box bound equals it
+    pts = np.array([[0.0], [-2.0 ** -52], [1.0]])
+    assert _l2_diameter(pts) == math.sqrt(1.0 + 2.0 ** -51) > 1.0
+    _assert_same_diameter(pts)
+
+
+def test_diameter_memory_does_not_grow_with_the_point_count():
+    pts = _cloud(11, 100000, 5, "walk")
+    tracemalloc.start()
+    try:
+        _l2_diameter(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
