@@ -39,7 +39,7 @@ from .core import (
     uniform_from_words,
 )
 from .optimizers import moment_step
-from .problems import ConvexProblem, evaluate
+from .problems import ConvexProblem, objective_values
 
 __all__ = [
     "InsufficientDataError",
@@ -111,12 +111,12 @@ def error_sum(traj: Trajectory, problem: ConvexProblem, w_star) -> float:
     w_star = np.asarray(w_star, dtype=np.float64).reshape(-1)
     if len(w_star) != traj.d:
         raise ValueError(f"w_star has length {len(w_star)}, trajectory d={traj.d}")
-    total = 0.0
-    for t, e in enumerate(traj.e.tolist(), start=1):
-        if math.isnan(e):
-            raise ValueError(f"step t={t} carries no objective value")
-        total += e - evaluate(problem, w_star, t)[0]
-    return total
+    missing = np.flatnonzero(np.isnan(traj.e))
+    if len(missing):
+        raise ValueError(f"step t={missing[0] + 1} carries no objective value")
+    # a running total from +0.0, in t order: np.sum's pairwise order moves bits
+    excess = traj.e - objective_values(problem, w_star, traj.T)
+    return float(np.add.accumulate(np.concatenate(([0.0], excess)))[-1])
 
 
 _D2_GROUP = 64  # rows per group, and groups per slice, in _l2_diameter

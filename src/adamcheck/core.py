@@ -392,29 +392,29 @@ class GradSequence:
 # ---------------------------------------------------------------------------
 
 TRAJECTORY_HEADER = "t,i,w_before,g,e,m_hat,v_hat,w_after"
-_TRAJECTORY_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"  # %.17g is fmt17
 _CSV_STEPS = 4096  # steps per block of rows, which bounds the temporary lists
+_FMT17 = "%.17g".__mod__  # fmt17 of a Python float
 
 
 def trajectory_to_csv(traj: Trajectory, f) -> None:
     """Write the CSV into the text file object f, one block of rows at a
-    time."""
+    time, formatting each distinct value once."""
     f.write(TRAJECTORY_HEADER + "\n")
     d = traj.d
     for lo in range(0, traj.T, _CSV_STEPS):
         hi = min(lo + _CSV_STEPS, traj.T)
+        w = list(map(_FMT17, traj.w[lo:hi + 1].ravel().tolist()))
         columns = (
-            np.repeat(np.arange(lo + 1, hi + 1), d),
-            np.tile(np.arange(1, d + 1), hi - lo),
-            traj.w[lo:hi].ravel(),
-            traj.g[lo:hi].ravel(),
-            np.repeat(traj.e[lo:hi], d),
-            traj.m_hat[lo:hi].ravel(),
-            traj.v_hat[lo:hi].ravel(),
-            traj.w[lo + 1:hi + 1].ravel(),
+            [f"{t},{i}" for t in range(lo + 1, hi + 1) for i in range(1, d + 1)],
+            w,  # zip stops after the (hi - lo) * d rows of the first column
+            map(_FMT17, traj.g[lo:hi].ravel().tolist()),
+            [s for s in map(_FMT17, traj.e[lo:hi].tolist()) for _ in range(d)],
+            map(_FMT17, traj.m_hat[lo:hi].ravel().tolist()),
+            map(_FMT17, traj.v_hat[lo:hi].ravel().tolist()),
+            w[d:],  # w_after of step t is w_before of step t + 1
         )
-        rows = zip(*(c.tolist() for c in columns))
-        f.write("".join([_TRAJECTORY_ROW % row + "\n" for row in rows]))
+        f.write("\n".join(map(",".join, zip(*columns))))
+        f.write("\n")
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -111,7 +111,7 @@ def adam_step(
     """
     g = np.asarray(g, dtype=np.float64).reshape(-1)
     _check_lengths(st.w, g)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericInputError("gradient contains a nonfinite component", t=st.t + 1)
 
     t = st.t + 1

@@ -41,6 +41,7 @@ __all__ = [
     "noisy_quadratic_problem",
     "random_noisy_quadratic",
     "evaluate",
+    "objective_values",
     "summed_gradient",
     "minimizer_oracle",
     "convexity_gap",
@@ -205,17 +206,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weights(p: ConvexProblem, w, t: int) -> np.ndarray:
+    w = np.asarray(w, dtype=np.float64).reshape(-1)
+    if len(w) != p.d:
+        raise ValueError(f"w has length {len(w)}, problem dimension is {p.d}")
+    if not np.isfinite(w).all():
+        raise NumericInputError("weight vector contains a nonfinite component", t=t)
+    return w
+
+
 def evaluate(p: ConvexProblem, w, t: int = 1) -> tuple[float, np.ndarray]:
     """Objective value e_t(w) and gradient at w.
 
     The quadratic and logistic families are batch objectives (the same for
     every t); the noisy-quadratic family re-centers at every t.
     """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    if len(w) != p.d:
-        raise ValueError(f"w has length {len(w)}, problem dimension is {p.d}")
-    if not np.all(np.isfinite(w)):
-        raise NumericInputError("weight vector contains a nonfinite component", t=t)
+    w = _weights(p, w, t)
     if t < 1:
         raise ValueError("t starts at 1")
 
@@ -239,6 +245,21 @@ def evaluate(p: ConvexProblem, w, t: int = 1) -> tuple[float, np.ndarray]:
         return float(0.5 * diff @ adiff), adiff
 
     raise ValueError(f"unknown problem kind {p.kind!r}")
+
+
+def objective_values(p: ConvexProblem, w, T: int) -> np.ndarray:
+    """e_t(w) for t = 1..T, entry t - 1 with the bits of evaluate(p, w, t)[0]:
+    numpy runs each item of a stacked product through evaluate's BLAS call."""
+    w = _weights(p, w, 1)
+    if p.kind != "noisy-quadratic":
+        return np.full(T, evaluate(p, w, 1)[0])
+    out = np.empty(T)
+    for lo in range(1, T + 1, _CENTER_BLOCK):
+        hi = min(lo + _CENTER_BLOCK, T + 1)
+        diff = w - _centers(p.data.noise_seed, p.data.noise_scale, p.d, lo, hi)
+        adiff = np.matmul(p.data.a, diff[:, :, None])
+        out[lo - 1:hi - 1] = np.matmul((0.5 * diff)[:, None, :], adiff).ravel()
+    return out
 
 
 def summed_gradient(p: ConvexProblem, w, T: int) -> np.ndarray:
@@ -274,14 +295,18 @@ def minimizer_oracle(p: ConvexProblem, T: int) -> np.ndarray:
     elif p.kind == "noisy-quadratic":
         # First-order condition A * sum(w - c_t) = 0: the center mean is a
         # minimizer for any PSD A.
-        w = _center_sum(p.data, p.d, T) / T
+        csum = _center_sum(p.data, p.d, T)
+        w = csum / T
     elif p.kind == "logistic":
         w = _newton_logistic(p, T)
     else:
         raise ValueError(f"unknown problem kind {p.kind!r}")
 
-    scale = max(1.0, float(np.linalg.norm(summed_gradient(p, np.zeros(p.d), T))))
-    resid = float(np.linalg.norm(summed_gradient(p, w, T)))
+    def gradient(x):  # summed_gradient, with the noisy centers drawn once
+        return p.data.a @ (T * x - csum) if p.kind == "noisy-quadratic" else summed_gradient(p, x, T)
+
+    scale = max(1.0, float(np.linalg.norm(gradient(np.zeros(p.d)))))
+    resid = float(np.linalg.norm(gradient(w)))
     if resid > _ORACLE_TOL * scale:
         raise UnboundedMinimizerError(
             f"stationarity residual {resid:.3e} exceeds tolerance {_ORACLE_TOL * scale:.3e}"

@@ -1,5 +1,6 @@
 """Each vectorized path is bitwise equal to the reference path it replaces."""
 
+import io
 import math
 import tracemalloc
 from unittest import mock
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adamcheck import analysis
+from adamcheck import analysis, problems
 from adamcheck.analysis import (
     FUZZ_FAMILIES,
     _batch_sides,
@@ -17,17 +18,24 @@ from adamcheck.analysis import (
     _sides,
     _trial_batch,
     default_fuzz_grid,
+    error_sum,
 )
+from adamcheck.cli import _initial_weights, load_run_config
 from adamcheck.core import (
+    _CSV_STEPS,
     _PHILOX_CHUNK,
     STREAM_FUZZ_BASE,
     STREAM_NOISE_BASE,
+    TRAJECTORY_HEADER,
     HyperParams,
+    NumericInputError,
     RandomStream,
+    Trajectory,
     box_muller,
     philox_blocks,
     philox_raw,
     seeded_rng,
+    trajectory_to_csv,
 )
 from adamcheck.optimizers import adam_run
 from adamcheck.problems import (
@@ -35,9 +43,15 @@ from adamcheck.problems import (
     _center_sum,
     _centers,
     evaluate,
+    minimizer_oracle,
     noisy_quadratic_problem,
+    objective_values,
+    problem_from_spec,
+    quadratic_problem,
     random_noisy_quadratic,
+    random_quadratic,
     summed_gradient,
+    synthetic_logistic,
 )
 
 U64 = st.integers(min_value=0, max_value=2 ** 64 - 1)
@@ -132,6 +146,167 @@ def test_noisy_summed_gradient_closed_form():
     w = np.array([0.3, -1.0, 2.0])
     loop = sum(evaluate(p, w, t)[1] for t in range(1, 201))
     assert np.allclose(summed_gradient(p, w, 200), loop, rtol=1e-12, atol=1e-12)
+
+
+def _minimizer_reference(p, T):
+    """Reference: the center sum drawn for w* and again in each residual."""
+    w = _center_sum(p.data, p.d, T) / T
+    scale = max(1.0, float(np.linalg.norm(summed_gradient(p, np.zeros(p.d), T))))
+    assert float(np.linalg.norm(summed_gradient(p, w, T))) <= 1e-10 * scale
+    return w
+
+
+@pytest.mark.parametrize("d,T", [(1, 1), (4, _CENTER_BLOCK + 1), (7, 3000)])
+def test_noisy_minimizer_draws_the_center_sum_once(d, T):
+    p = random_noisy_quadratic(seed=9 + d, d=d, noise_scale=2.0)
+    with mock.patch.object(problems, "_center_sum", wraps=_center_sum) as draws, \
+         mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+        w = minimizer_oracle(p, T)
+    assert draws.call_count == 1
+    assert w.tobytes() == _minimizer_reference(p, T).tobytes()
+    # the stationarity check sees summed_gradient's bits at 0 and at w*
+    checked = [c.args[0].tobytes() for c in norm.call_args_list]
+    assert checked == [summed_gradient(p, np.zeros(d), T).tobytes(),
+                       summed_gradient(p, w, T).tobytes()]
+
+
+# ---------------------------------------------------------------------------
+# objective values over t and the regret sum: one array pass against the
+# per-step evaluate loop
+# ---------------------------------------------------------------------------
+
+OBJECTIVE_T = (1, _CENTER_BLOCK - 1, _CENTER_BLOCK, _CENTER_BLOCK + 1, 9000)
+
+
+def _objective_problem(kind, d):
+    if kind == "quadratic":
+        return random_quadratic(seed=30 + d, d=d)
+    if kind == "logistic":
+        return synthetic_logistic(seed=30 + d, n=40, d=d)
+    return random_noisy_quadratic(seed=30 + d, d=d, noise_scale=0.5)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "noisy-quadratic"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 17])
+def test_objective_values_match_evaluate_loop(kind, d):
+    p = _objective_problem(kind, d)
+    w = 40.0 * seeded_rng(d).standard_normal(d)  # far from every center
+    loop = np.array([evaluate(p, w, t)[0] for t in range(1, max(OBJECTIVE_T) + 1)])
+    for T in OBJECTIVE_T:
+        assert objective_values(p, w, T).tobytes() == loop[:T].tobytes()
+
+
+def test_objective_values_check_the_weights():
+    p = random_noisy_quadratic(seed=1, d=2)
+    with pytest.raises(ValueError, match="length"):
+        objective_values(p, np.zeros(3), 5)
+    with pytest.raises(NumericInputError):
+        objective_values(p, [0.0, math.inf], 5)
+
+
+def _error_sum_loop(traj, problem, w_star):
+    """Reference: a running total over one evaluate call per step."""
+    total = 0.0
+    for t, e in enumerate(traj.e.tolist(), start=1):
+        if math.isnan(e):
+            raise ValueError(f"step t={t} carries no objective value")
+        total += e - evaluate(problem, w_star, t)[0]
+    return total
+
+
+def _float_bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_error_sum_matches_running_total_on_golden_run(fixtures_dir):
+    config = load_run_config(fixtures_dir / "golden_noisy_run.cfg")
+    problem = problem_from_spec(config.problem_spec)
+    w0 = _initial_weights(config.seed, problem.d)
+    traj = adam_run(w0, lambda w, t: evaluate(problem, w, t), config.params, config.T)
+    for h in config.t_schedule:
+        w_star = minimizer_oracle(problem, h)
+        prefix = traj.prefix(h)
+        assert _float_bits(error_sum(prefix, problem, w_star)) == _float_bits(
+            _error_sum_loop(prefix, problem, w_star))
+
+
+def test_error_sum_of_negative_zero_excesses_is_positive_zero():
+    # e(w*) = +0.0 and e_t = -0.0, so every excess is -0.0; the running
+    # total starts at +0.0 and stays there
+    p = quadratic_problem(np.eye(1), np.zeros(1))
+    z = np.zeros((3, 1))
+    traj = Trajectory(HyperParams(), np.zeros((4, 1)), z, z, z, np.full(3, -0.0))
+    assert _float_bits(error_sum(traj, p, [0.0])) == _float_bits(_error_sum_loop(traj, p, [0.0]))
+    assert _float_bits(error_sum(traj, p, [0.0])) == _float_bits(0.0)
+
+
+def test_error_sum_names_the_first_missing_step():
+    p = quadratic_problem(np.eye(1), np.zeros(1))
+    z = np.zeros((5, 1))
+    e = np.array([1.0, 2.0, math.nan, 4.0, math.nan])
+    traj = Trajectory(HyperParams(), np.zeros((6, 1)), z, z, z, e)
+    with pytest.raises(ValueError) as ref:
+        _error_sum_loop(traj, p, np.zeros(1))
+    with pytest.raises(ValueError, match="step t=3 carries no objective value") as new:
+        error_sum(traj, p, [0.0])
+    assert str(new.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# trajectory.csv: each distinct value formatted once, against the row writer
+# ---------------------------------------------------------------------------
+
+_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+
+
+def _csv_row_writer(traj, f):
+    """Reference: one 8-tuple per (t, i) row, every field formatted."""
+    f.write(TRAJECTORY_HEADER + "\n")
+    d = traj.d
+    for lo in range(0, traj.T, _CSV_STEPS):
+        hi = min(lo + _CSV_STEPS, traj.T)
+        columns = (
+            np.repeat(np.arange(lo + 1, hi + 1), d),
+            np.tile(np.arange(1, d + 1), hi - lo),
+            traj.w[lo:hi].ravel(),
+            traj.g[lo:hi].ravel(),
+            np.repeat(traj.e[lo:hi], d),
+            traj.m_hat[lo:hi].ravel(),
+            traj.v_hat[lo:hi].ravel(),
+            traj.w[lo + 1:hi + 1].ravel(),
+        )
+        rows = zip(*(c.tolist() for c in columns))
+        f.write("".join([_ROW % row + "\n" for row in rows]))
+
+
+SPECIAL_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -2.5e-310, 1e308, 0.1]
+
+
+def _special_trajectory(T, d, seed):
+    """Random columns with NaN, signed zeros, infinities and subnormals."""
+    rng = np.random.default_rng(seed)
+
+    def column(*shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        every_third = x.reshape(-1)[::3]  # a view: the specials cycle through it
+        every_third[:] = np.resize(SPECIAL_FLOATS, every_third.size)
+        return x
+
+    return Trajectory(HyperParams(), column(T + 1, d), column(T, d), column(T, d),
+                      column(T, d), column(T))
+
+
+@pytest.mark.parametrize("d", [1, 5, 7])
+@pytest.mark.parametrize("T", [1, _CSV_STEPS, _CSV_STEPS + 1])
+def test_trajectory_csv_matches_row_writer(T, d):
+    traj = _special_trajectory(T, d, seed=T * 10 + d)
+    new, ref = io.StringIO(), io.StringIO()
+    trajectory_to_csv(traj, new)
+    _csv_row_writer(traj, ref)
+    assert new.getvalue() == ref.getvalue()
+    if T > 1:
+        for token in ("nan", ",inf", "-inf", ",-0,", "e-310", "e-324"):
+            assert token in new.getvalue()
 
 
 # ---------------------------------------------------------------------------
