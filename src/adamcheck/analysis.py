@@ -274,20 +274,17 @@ def conjecture_sides_exact(
     seq: GradSequence,
     p: HyperParams,
     rhs_coeff: float | None = None,
-    prec_bits: int = EXACT_PRECISION_BITS,
 ) -> tuple[list, list, float]:
-    """Extended-precision evaluation of both sides (software floats with a
-    >= 160-bit significand).  It decides a near miss whose interval
-    enclosure straddles 0.  Returns (lhs, rhs, min_slack) with the sides
-    as mpmath values."""
-    if prec_bits < 160:
-        raise ValueError("escalated evaluation requires at least 160 bits")
+    """Extended-precision evaluation of both sides (software floats with an
+    `EXACT_PRECISION_BITS` significand).  It decides a near miss whose
+    interval enclosure straddles 0.  Returns (lhs, rhs, min_slack) with the
+    sides as mpmath values."""
     # imported here: only straddling enclosures reach this pass
     from mpmath import mp, mpf, sqrt as mpsqrt
 
     g = seq.g
     T, d = g.shape
-    with mp.workprec(prec_bits):
+    with mp.workprec(EXACT_PRECISION_BITS):
         beta1, beta2, lam = mpf(p.beta1), mpf(p.beta2), mpf(p.lam)
         if rhs_coeff is None:
             gamma = beta1 ** 2 / mpsqrt(beta2)
@@ -355,8 +352,8 @@ def geometric_sum_bound_check(p: HyperParams, T: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def vhat_bound_check(traj: Trajectory, g_inf: float, rel_tol: float = 1e-12) -> bool:
-    """True iff sqrt(v_hat[t, i]) <= g_inf * (1 + rel_tol) for every t, i.
+def vhat_bound_check(traj: Trajectory, g_inf: float) -> bool:
+    """True iff sqrt(v_hat[t, i]) <= g_inf * (1 + 1e-12) for every t, i.
 
     Precondition: every recorded |g[t, i]| <= g_inf; a violation of the
     precondition is an error naming the offending (t, i).
@@ -367,7 +364,7 @@ def vhat_bound_check(traj: Trajectory, g_inf: float, rel_tol: float = 1e-12) -> 
         raise ValueError(
             f"|g| = {abs(traj.g[t, i])} exceeds declared bound {g_inf} at (t={t + 1}, i={i + 1})"
         )
-    return bool(np.all(np.sqrt(traj.v_hat) <= g_inf * (1.0 + rel_tol)))
+    return bool(np.all(np.sqrt(traj.v_hat) <= g_inf * (1.0 + 1e-12)))
 
 
 def average_regret_series(
@@ -944,15 +941,18 @@ def _decided_slack(
 
 
 def _escalate(
-    near: list[tuple[FuzzCandidate, float]], out_dir: Path | None, summary: FuzzSummary
+    near: list[tuple[FuzzCandidate, np.ndarray, np.ndarray]],
+    out_dir: Path | None,
+    summary: FuzzSummary,
 ) -> None:
-    """Decide a group of near misses, given with their double min slacks,
-    in order.  One `_slack_enclosure` call per gradient width d encloses
-    them all; confirmed violations are serialized for replay."""
+    """Decide a group of near misses, given with the double sides (lhs,
+    rhs) that screened them, in order.  One `_slack_enclosure` call per
+    gradient width d encloses them all; confirmed violations are
+    serialized for replay."""
     lo = np.empty(len(near))
     hi = np.empty(len(near))
-    for d in {cand.seq.d for cand, _ in near}:
-        rows = [k for k, (cand, _) in enumerate(near) if cand.seq.d == d]
+    for d in {cand.seq.d for cand, _, _ in near}:
+        rows = [k for k, (cand, _, _) in enumerate(near) if cand.seq.d == d]
         group = [near[k][0] for k in rows]
         t_arr = np.array([cand.seq.T for cand in group])
         g = np.zeros((len(group), int(t_arr.max()), d))
@@ -961,8 +961,9 @@ def _escalate(
         lo[rows], hi[rows] = _slack_enclosure(
             g, t_arr, [c.params for c in group], [c.rhs_coeff for c in group])
 
-    for (cand, double_slack), slack_lo, slack_hi in zip(near, lo.tolist(), hi.tolist()):
+    for (cand, lhs, rhs), slack_lo, slack_hi in zip(near, lo.tolist(), hi.tolist()):
         label, params, seq, rhs_coeff = cand.label, cand.params, cand.seq, cand.rhs_coeff
+        double_slack = float(np.min(rhs - lhs))
         slack = _decided_slack(slack_lo, slack_hi, seq, params, rhs_coeff)
         outcome = "confirmed" if slack < 0.0 else "cleared"
         summary.near_misses.append(NearMiss(
@@ -971,7 +972,6 @@ def _escalate(
         ))
         if outcome != "confirmed":
             continue
-        lhs, rhs = _sides(seq.g, params, rhs_coeff=rhs_coeff)
         record = CounterexampleRecord(
             label=label,
             params=params,
@@ -982,15 +982,13 @@ def _escalate(
             rhs_coeff=_rhs_coefficient(params) if rhs_coeff is None else rhs_coeff,
             lhs=lhs,
             rhs=rhs,
-            min_slack=float(np.min(rhs - lhs)),
+            min_slack=double_slack,
             exact_min_slack=slack,
             enclosure=(slack_lo, slack_hi),
         )
         path = None
         if out_dir is not None:
-            ce_dir = Path(out_dir) / "counterexamples"
-            ce_dir.mkdir(parents=True, exist_ok=True)
-            path = str(ce_dir / f"ce_{label}.txt")
+            path = str(out_dir / "counterexamples" / f"ce_{label}.txt")
             write_counterexample(path, record)
         summary.violations.append(Violation(label=label, record=record, path=path))
 
@@ -1001,22 +999,19 @@ def conjecture_fuzz(
     d: int,
     param_grid: list[HyperParams],
     seed: int,
-    screen_factor: float = DEFAULT_SCREEN_FACTOR,
     out_dir: str | Path | None = None,
     injected: list[FuzzCandidate] | None = None,
-    g_inf_cap: float = 1.0,
-    batch_size: int = FUZZ_BATCH,
 ) -> FuzzSummary:
     """Randomized search for violations of the moment-ratio inequality.
 
     Trial k draws its gradient sequence from one of four families (uniform,
     clipped Gaussian, sparse with zero runs, tiny-runs-then-spike) using the
     stream derived from (seed, k), and cycles through `param_grid`.  Any
-    coordinate with slack below `screen_factor * rhs` is a near miss.  The
-    near misses of each batch, and the injected ones, are enclosed
-    together in interval arithmetic; only a proven negative slack counts
-    as a violation (`_decided_slack`).  Violations are findings, not
-    failures.
+    coordinate with slack below `DEFAULT_SCREEN_FACTOR * rhs` is a near
+    miss.  The near misses of each batch of `FUZZ_BATCH` trials, and the
+    injected ones, are enclosed together in interval arithmetic; only a
+    proven negative slack counts as a violation (`_decided_slack`).
+    Violations are findings, not failures.
 
     The global minimum slack, its argmin sequence, the relative-slack
     minimum over coordinates with rhs > 0, the near-miss escalation log,
@@ -1030,9 +1025,6 @@ def conjecture_fuzz(
         raise ValueError("t_max and d must be positive")
     if not param_grid:
         raise ValueError("param_grid must be nonempty")
-    for p in param_grid:
-        if not p.gamma < 1:
-            raise ValueError(f"grid entry has beta1**2/sqrt(beta2) = {p.gamma} >= 1")
 
     out_path = Path(out_dir) if out_dir is not None else None
     summary = FuzzSummary(
@@ -1049,17 +1041,16 @@ def conjecture_fuzz(
     near = []
     for cand in injected or []:
         lhs, rhs = _sides(cand.seq.g, cand.params, rhs_coeff=cand.rhs_coeff)
-        slack = rhs - lhs
-        if np.any(slack < screen_factor * rhs):
-            near.append((cand, float(np.min(slack))))
+        if np.any(rhs - lhs < DEFAULT_SCREEN_FACTOR * rhs):
+            near.append((cand, lhs, rhs))
     _escalate(near, out_path, summary)
 
     argmin_trial = -1
     argmin_rel_trial = -1
     n_grid = len(param_grid)
-    for start in range(0, n_trials, batch_size):
-        stop = min(start + batch_size, n_trials)
-        fams, t_arr, g = _trial_batch(seed, start, stop, t_max, d, g_inf_cap)
+    for start in range(0, n_trials, FUZZ_BATCH):
+        stop = min(start + FUZZ_BATCH, n_trials)
+        fams, t_arr, g = _trial_batch(seed, start, stop, t_max, d, cap=1.0)
         batch_params = [param_grid[k % n_grid] for k in range(start, stop)]
         for f, c in enumerate(np.bincount(fams, minlength=len(FUZZ_FAMILIES))):
             summary.family_counts[FUZZ_FAMILIES[f]] += int(c)
@@ -1084,9 +1075,9 @@ def conjecture_fuzz(
 
         near = [
             (FuzzCandidate(label=f"trial{start + j}", params=batch_params[j],
-                           seq=GradSequence(d=d, g=g[j, :t_arr[j], :], g_inf_cap=g_inf_cap)),
-             float(trial_min[j]))
-            for j in np.flatnonzero(np.any(slack < screen_factor * rhs, axis=1)).tolist()
+                           seq=GradSequence(d=d, g=g[j, :t_arr[j], :], g_inf_cap=1.0)),
+             lhs[j], rhs[j])
+            for j in np.flatnonzero(np.any(slack < DEFAULT_SCREEN_FACTOR * rhs, axis=1)).tolist()
         ]
         _escalate(near, out_path, summary)
         # free this batch before the next is drawn: holding two at once let
@@ -1096,7 +1087,7 @@ def conjecture_fuzz(
     if argmin_trial >= 0:
         summary.argmin_label = f"trial{argmin_trial}"
         summary.argmin_params = param_grid[argmin_trial % n_grid]
-        summary.argmin_seq = GradSequence(d=d, g=argmin_g, g_inf_cap=g_inf_cap)
+        summary.argmin_seq = GradSequence(d=d, g=argmin_g, g_inf_cap=1.0)
     if argmin_rel_trial >= 0:
         summary.argmin_rel_label = f"trial{argmin_rel_trial}"
     return summary

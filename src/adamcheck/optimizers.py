@@ -157,11 +157,7 @@ def adam_run(
     traj.w[0] = st.w
     for t in range(1, T + 1):
         e, g = grad_oracle(st.w, t)
-        try:
-            st, rec = adam_step(st, g, p, e=e)
-        except (NumericInputError, DivisionHazardError) as err:
-            err.t = t
-            raise
+        st, rec = adam_step(st, g, p, e=e)
         traj.w[t] = rec.w_after
         traj.g[t - 1] = rec.g
         traj.m_hat[t - 1] = rec.m_hat
@@ -201,20 +197,24 @@ def momentum_run(
 
 
 def verify_replay(traj: Trajectory) -> bool:
-    """Replay the stored gradients through `adam_step` and demand that every
-    stored iterate is reproduced bit-for-bit.  Raises on the first mismatch.
+    """Re-run `adam_run` on the stored gradients and objective values and
+    demand that every stored iterate is reproduced bit-for-bit.  Raises on
+    the earliest mismatching step, naming its first differing column.
     """
-    st = AdamState.initial(traj.w[0])
-    for t in range(1, traj.T + 1):
-        st, replayed = adam_step(st, traj.g[t - 1], traj.params, e=traj.e[t - 1])
-        for name, stored in (
-            ("w_after", traj.w[t]),
-            ("m_hat", traj.m_hat[t - 1]),
-            ("v_hat", traj.v_hat[t - 1]),
-        ):
-            a = getattr(replayed, name)
-            if not np.array_equal(a, stored):
-                raise AssertionError(
-                    f"replay mismatch at t={t} in {name}: {a} != {stored}"
-                )
+    if traj.T == 0:
+        return True
+    replay = adam_run(traj.w[0], lambda w, t: (traj.e[t - 1], traj.g[t - 1]), traj.params, traj.T)
+    columns = (
+        ("w_after", replay.w[1:], traj.w[1:]),
+        ("m_hat", replay.m_hat, traj.m_hat),
+        ("v_hat", replay.v_hat, traj.v_hat),
+    )
+    # == as in np.array_equal: NaN never matches, -0.0 matches 0.0
+    bad = np.array([~(a == stored).all(axis=1) for _, a, stored in columns])
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=0)))
+        name, a, stored = columns[int(np.argmax(bad[:, row]))]
+        raise AssertionError(
+            f"replay mismatch at t={row + 1} in {name}: {a[row]} != {stored[row]}"
+        )
     return True

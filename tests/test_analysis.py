@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -176,12 +177,6 @@ def test_exact_sides_agree_with_double():
     assert exact_slack == pytest.approx(report.min_slack, rel=1e-9)
 
 
-def test_exact_sides_requires_enough_precision():
-    seq = GradSequence(d=1, g=[[1.0]], g_inf_cap=1.0)
-    with pytest.raises(ValueError, match="160"):
-        conjecture_sides_exact(seq, HyperParams(), prec_bits=64)
-
-
 def test_batch_engine_matches_reference_sides():
     rng = seeded_rng(31)
     grid = default_fuzz_grid()
@@ -266,12 +261,14 @@ def test_enclosure_contains_exact_and_interval_reference(seed, T, d, grid_index,
         float(x[0]) for x in _slack_enclosure(g[None, :T2], np.array([T2]), [other], [None]))
 
 
-def boundary_candidate(label, seed, T, factor):
-    """Uniform d = 1 candidate whose coefficient is factor * lhs/||g||."""
+def boundary_candidate(label, seed, T, factor, d=1):
+    """Uniform candidate whose coefficient is factor * lhs/||g|| of the
+    coordinate where that ratio is largest."""
     p = HyperParams(beta1=0.9, beta2=0.999, lam=0.999)
-    g = seeded_rng(seed).uniform(-1.0, 1.0, size=T).reshape(T, 1)
-    seq = GradSequence(d=1, g=g, g_inf_cap=1.0)
-    coeff = float(conjecture_sides(seq, p).lhs[0]) / float(np.linalg.norm(g)) * factor
+    g = seeded_rng(seed).uniform(-1.0, 1.0, size=T * d).reshape(T, d)
+    seq = GradSequence(d=d, g=g, g_inf_cap=1.0)
+    lhs = conjecture_sides(seq, p).lhs
+    coeff = max(float(l) / float(np.linalg.norm(col)) for l, col in zip(lhs, g.T)) * factor
     return FuzzCandidate(label=label, params=p, seq=seq, rhs_coeff=coeff)
 
 
@@ -597,19 +594,70 @@ def test_fuzz_near_miss_is_escalated_and_cleared(tmp_path):
     assert not summary.violation_found
 
 
+def six_boundary_candidates():
+    """T = 32 candidates at factors 1 - 1e-9 and 1 + 1e-9 in turn: three
+    confirmed, three cleared."""
+    return [boundary_candidate(f"c{k}", 100 + k, 32, 1.0 - 1e-9 if k % 2 == 0 else 1.0 + 1e-9)
+            for k in range(6)]
+
+
+def test_fuzz_runs_sides_once_per_injected_candidate(tmp_path):
+    # screening computes each candidate's sides once; a confirmed
+    # candidate's record reuses them
+    cands = [boundary_candidate("confirmed", 71, 24, 0.5),
+             boundary_candidate("cleared", 79, 16, 1.0 + 5e-7),
+             boundary_candidate("far", 73, 24, 2.0)]
+    with mock.patch.object(analysis, "_sides", wraps=_sides) as spy:
+        summary = conjecture_fuzz(0, 24, 1, default_fuzz_grid(), seed=3, out_dir=tmp_path,
+                                  injected=cands)
+    calls = [call.args[0] for call in spy.call_args_list]
+    assert len(calls) == len(cands)
+    assert all(g is c.seq.g for g, c in zip(calls, cands))
+    assert [(nm.label, nm.outcome) for nm in summary.near_misses] == [
+        ("confirmed", "confirmed"), ("cleared", "cleared")]
+
+
+def text_tree(root):
+    """Bytes of every .txt file under `root`, keyed by relative path."""
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in root.rglob("*.txt")}
+
+
 def test_fuzz_tree_does_not_depend_on_out_dir(tmp_path):
-    cands = [boundary_candidate(f"c{k}", 100 + k, 32, 1.0 - 1e-9 if k % 2 == 0 else 1.0 + 1e-9)
-             for k in range(6)]
+    cands = six_boundary_candidates()
     trees = []
     for out in (tmp_path / "a", tmp_path / "b" / "deeper"):
         summary = conjecture_fuzz(200, 32, 1, default_fuzz_grid(), seed=3, out_dir=out,
                                   injected=cands)
         (out / "fuzz_summary.txt").write_text(fuzz_summary_text(summary))
-        trees.append({path.relative_to(out): path.read_bytes() for path in out.rglob("*.txt")})
+        trees.append(text_tree(out))
     assert {nm.outcome for nm in summary.near_misses} == {"confirmed", "cleared"}
     assert len(trees[0]) == 1 + len(summary.violations)
     assert trees[0] == trees[1]
     assert all(str(v.path).startswith(str(tmp_path / "b" / "deeper")) for v in summary.violations)
+
+
+GOLDEN_FUZZ_TREE = Path(__file__).parent / "fixtures" / "golden_fuzz_violations"
+
+
+def golden_fuzz_tree(out):
+    """Write under `out` the tree that `GOLDEN_FUZZ_TREE` holds and read it
+    back: 200 random trials plus the six boundary candidates with a d = 2
+    one among them, so that grouping near misses by width and the injected
+    order both show in the bytes."""
+    cands = six_boundary_candidates()
+    cands.insert(3, boundary_candidate("wide", 106, 20, 1.0 - 1e-9, d=2))
+    summary = conjecture_fuzz(200, 32, 1, default_fuzz_grid(), seed=3, out_dir=out,
+                              injected=cands)
+    (out / "fuzz_summary.txt").write_text(fuzz_summary_text(summary))
+    return text_tree(out)
+
+
+def test_fuzz_tree_matches_golden(tmp_path):
+    golden = text_tree(GOLDEN_FUZZ_TREE)
+    tree = golden_fuzz_tree(tmp_path)
+    assert sorted(tree) == sorted(golden)
+    for name, data in golden.items():
+        assert tree[name] == data, name
 
 
 def test_report_serializers():

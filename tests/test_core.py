@@ -206,6 +206,38 @@ def test_replay_is_bit_identical():
     assert verify_replay(traj)
 
 
+def _flip_ulp(traj, column, t):
+    """Move coordinate 0 of `column` at step t one ulp up, in place."""
+    row = traj.w[t] if column == "w_after" else getattr(traj, column)[t - 1]
+    row[0] = np.nextafter(row[0], np.inf)
+
+
+@pytest.mark.parametrize("flips, named", [
+    ([("w_after", 5)], "t=5 in w_after"),
+    ([("m_hat", 5)], "t=5 in m_hat"),
+    ([("v_hat", 5)], "t=5 in v_hat"),
+    ([("w_after", 7), ("v_hat", 3)], "t=3 in v_hat"),
+    ([("v_hat", 4), ("m_hat", 4)], "t=4 in m_hat"),
+])
+def test_replay_names_earliest_mismatch(flips, named):
+    traj = adam_run(np.array([1.0, -2.0]), _quadratic_oracle, HyperParams(eta=0.1), 10)
+    for column, t in flips:
+        _flip_ulp(traj, column, t)
+    with pytest.raises(AssertionError, match=f"replay mismatch at {named}:"):
+        verify_replay(traj)
+
+
+def test_replay_compares_like_array_equal():
+    # a stored -0.0 equals a replayed +0.0; a zero-step prefix has nothing
+    # to compare
+    traj = adam_run(np.array([1.0, 0.0]), lambda w, t: (0.0, np.array([1.0, 0.0])),
+                    HyperParams(), 6)
+    assert not np.signbit(traj.m_hat[:, 1]).any()
+    traj.m_hat[:, 1] = -0.0
+    assert verify_replay(traj)
+    assert verify_replay(traj.prefix(0))
+
+
 def test_run_determinism_byte_for_byte():
     p = HyperParams(eta=0.1)
     a = adam_run(np.array([1.0, -2.0]), _quadratic_oracle, p, 30)

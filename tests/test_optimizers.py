@@ -204,14 +204,17 @@ def test_adam_run_descends_on_quadratic():
     assert final < float(np.linalg.norm([1.0, 1.0]))
 
 
-def test_adam_run_error_carries_step_index():
+@pytest.mark.parametrize("g_before, g3, epsilon, error", [
+    (1.0, float("nan"), 1e-8, NumericInputError),
+    # g3**2 underflows to 0, so v_hat = 0 while m_hat != 0
+    (0.0, 1e-170, 0.0, DivisionHazardError),
+], ids=["nonfinite-gradient", "division-hazard"])
+def test_adam_run_error_carries_step_index(g_before, g3, epsilon, error):
     def oracle(w, t):
-        if t == 3:
-            return 0.0, np.array([float("nan")])
-        return 0.0, np.array([1.0])
+        return 0.0, np.array([g3 if t == 3 else g_before])
 
-    with pytest.raises(NumericInputError) as err:
-        adam_run([0.0], oracle, HyperParams(), 10)
+    with pytest.raises(error) as err:
+        adam_run([0.0], oracle, HyperParams(epsilon=epsilon), 10)
     assert err.value.t == 3
 
 
