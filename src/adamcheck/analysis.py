@@ -58,8 +58,6 @@ __all__ = [
     "default_param_grid",
     "default_fuzz_grid",
     "FuzzCandidate",
-    "NearMiss",
-    "Violation",
     "FuzzSummary",
     "conjecture_fuzz",
     "fuzz_summary_text",
@@ -313,16 +311,15 @@ def conjecture_sides_exact(
 def conjecture_sides(seq: GradSequence, p: HyperParams) -> ConjectureReport:
     """Both sides of the moment-ratio inequality for one gradient sequence.
 
-    An apparent double-precision violation is only reported after its
-    interval enclosure, or the 200-bit pass where that straddles 0, proves
-    it (`_decided_slack`).
+    A near miss (`_near`) is decided as the fuzzer decides it (`_decide`):
+    the sequence is violated only when its interval enclosure, or the
+    200-bit pass where that straddles 0, proves it.
     """
     lhs, rhs = _sides(seq.g, p)
     min_slack = float(np.min(rhs - lhs)) if len(lhs) else math.inf
-    violated = False
-    if min_slack < 0.0:
-        lo, hi = _slack_enclosure(seq.g[None], np.array([seq.T]), [p], [None])
-        violated = _decided_slack(lo[0], hi[0], seq, p, None) < 0.0
+    violated = bool(_near(lhs, rhs)) and _decide(
+        [(FuzzCandidate(label="sides", params=p, seq=seq), lhs, rhs)], None
+    )[0].outcome == "confirmed"
     return ConjectureReport(lhs=lhs, rhs=rhs, min_slack=min_slack, violated=violated)
 
 
@@ -434,12 +431,16 @@ def default_fuzz_grid() -> list[HyperParams]:
 
 @dataclass(frozen=True)
 class CounterexampleRecord:
-    """Replayable snapshot of one inequality evaluation.
+    """Replayable snapshot of one decided near miss.
 
     `rhs_coeff` is normally the canonical 2/((1-gamma) sqrt(1-beta2));
     synthetic records used to exercise the detection machinery may carry a
-    different coefficient and say so in the file.  `enclosure` and
-    `exact_min_slack` are as in `NearMiss`.
+    different coefficient and say so in the file.  `min_slack` is the
+    double slack, `enclosure` holds the real min slack, and
+    `exact_min_slack` is the value the outcome rests on (see
+    `_decided_slack`).  `outcome` ("confirmed" or "cleared") and `path`,
+    the file written or read, live in memory only: the file carries
+    neither, and only confirmed records are written.
     """
 
     label: str
@@ -454,6 +455,8 @@ class CounterexampleRecord:
     min_slack: float
     exact_min_slack: float
     enclosure: tuple[float, float]
+    outcome: str = "confirmed"
+    path: str | None = None
 
 
 def _fmt_interval(bounds: tuple[float, float]) -> str:
@@ -519,6 +522,7 @@ def load_counterexample(path: str | Path) -> CounterexampleRecord:
         min_slack=float(get("min_slack")),
         exact_min_slack=float(get("exact_min_slack")),
         enclosure=tuple(float(c) for c in get("enclosure").strip("[]").split(",")),
+        path=str(path),
     )
 
 
@@ -553,26 +557,6 @@ class FuzzCandidate:
     rhs_coeff: float | None = None
 
 
-@dataclass(frozen=True)
-class NearMiss:
-    """A screened coordinate's decision.  `enclosure` holds the real min
-    slack; `exact_min_slack` is the value the outcome rests on (see
-    `_decided_slack`)."""
-
-    label: str
-    min_slack: float
-    exact_min_slack: float
-    outcome: str  # "cleared" or "confirmed"
-    enclosure: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class Violation:
-    label: str
-    record: CounterexampleRecord
-    path: str | None
-
-
 @dataclass
 class FuzzSummary:
     n_trials: int
@@ -587,8 +571,12 @@ class FuzzSummary:
     argmin_seq: GradSequence | None = None
     min_rel_slack: float = math.inf
     argmin_rel_label: str | None = None
-    near_misses: list[NearMiss] = field(default_factory=list)
-    violations: list[Violation] = field(default_factory=list)
+    near_misses: list[CounterexampleRecord] = field(default_factory=list)
+
+    @property
+    def violations(self) -> list[CounterexampleRecord]:
+        """The confirmed near misses, in order."""
+        return [r for r in self.near_misses if r.outcome == "confirmed"]
 
     @property
     def violation_found(self) -> bool:
@@ -624,7 +612,7 @@ _TRIAL_WORDS = 1 << 16
 
 
 def _trial_batch(
-    seed: int, start: int, stop: int, t_max: int, d: int, cap: float
+    seed: int, start: int, stop: int, t_max: int, d: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(family, T, gradients) of fuzz trials start..stop-1, in array operations.
 
@@ -653,39 +641,37 @@ def _trial_batch(
         for f in range(len(FUZZ_FAMILIES)):
             sel = fam[rows] == f
             if np.any(sel):
-                _fill_family(flat, f, words, off[sel], rows[sel] * (t_max * d),
-                             T[rows[sel]], d, cap)
+                _fill_family(flat, f, words, off[sel], rows[sel] * (t_max * d), T[rows[sel]], d)
     return fam, T, g
 
 
 def _fill_family(
     flat: np.ndarray, f: int, words: np.ndarray, off: np.ndarray, base: np.ndarray,
-    T: np.ndarray, d: int, cap: float,
+    T: np.ndarray, d: int,
 ) -> None:
     """Write the gradients of trials of family f into a flat batch: trial i
     reads word j at words[off[i] + j], and its entry j goes to
-    flat[base[i] + j].  Conversions follow `RandomStream` operation by
-    operation, so the values agree bit for bit."""
+    flat[base[i] + j].  Every entry is bounded by 1.  Conversions follow
+    `RandomStream` operation by operation, so the values agree bit for bit."""
     n = T * d
-    span = cap - -cap
 
     def uniforms(counts, first):
         return uniform_from_words(words[_ragged(counts, first)])
 
     if f == 0:
-        flat[_ragged(n, base)] = -cap + span * uniforms(n, off + 2)
+        flat[_ragged(n, base)] = -1.0 + 2.0 * uniforms(n, off + 2)
     elif f == 1:
         # pair q: radius word 2 + q, angle word 2 + p + q; the cosine normal
         # is entry q, the sine normal entry p + q when that is below n
         p = (n + 1) // 2
         r, theta = box_muller_polar(words[_ragged(p, off + 2)], words[_ragged(p, off + 2 + p)])
-        flat[_ragged(p, base)] = np.clip(0.5 * cap * (r * np.cos(theta)), -cap, cap)
-        sines = np.clip(0.5 * cap * (r * np.sin(theta)), -cap, cap)
+        flat[_ragged(p, base)] = np.clip(0.5 * (r * np.cos(theta)), -1.0, 1.0)
+        sines = np.clip(0.5 * (r * np.sin(theta)), -1.0, 1.0)
         keep = _ragged(p, np.zeros_like(p)) < np.repeat(n - p, p)
         flat[_ragged(p, base + p)[keep]] = sines[keep]
     elif f == 2:
         keep = 0.05 + (0.5 - 0.05) * uniform_from_words(words[off + 2])
-        values = -cap + span * uniforms(n, off + 3)
+        values = -1.0 + 2.0 * uniforms(n, off + 3)
         mask = uniforms(n, off + 3 + n) < np.repeat(keep, n)
         flat[_ragged(n, base)] = values * mask  # keeps the -0.0 entries
     else:
@@ -705,7 +691,7 @@ def _fill_family(
             coord = integers_from_words(words[w + 1], d)
             sign = np.where(uniform_from_words(words[w + 2]) < 0.5, 1.0, -1.0)
             live = n_spikes > s
-            flat[(base + pos * d + coord)[live]] = (sign * cap)[live]
+            flat[(base + pos * d + coord)[live]] = sign[live]
 
 
 def _batch_sides(
@@ -940,15 +926,19 @@ def _decided_slack(
     return conjecture_sides_exact(seq, params, rhs_coeff=rhs_coeff)[2]
 
 
-def _escalate(
-    near: list[tuple[FuzzCandidate, np.ndarray, np.ndarray]],
-    out_dir: Path | None,
-    summary: FuzzSummary,
-) -> None:
-    """Decide a group of near misses, given with the double sides (lhs,
-    rhs) that screened them, in order.  One `_slack_enclosure` call per
-    gradient width d encloses them all; confirmed violations are
-    serialized for replay."""
+def _near(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Whether any coordinate of a sequence (the last axis) is a near miss:
+    slack below `DEFAULT_SCREEN_FACTOR * rhs`."""
+    return np.any(rhs - lhs < DEFAULT_SCREEN_FACTOR * rhs, axis=-1)
+
+
+def _decide(
+    near: list[tuple[FuzzCandidate, np.ndarray, np.ndarray]], out_dir: Path | None
+) -> list[CounterexampleRecord]:
+    """One record per near miss, in order, each given with the double sides
+    (lhs, rhs) that screened it.  One `_slack_enclosure` call per gradient
+    width d encloses them all; confirmed records are written under
+    `out_dir` when it is set."""
     lo = np.empty(len(near))
     hi = np.empty(len(near))
     for d in {cand.seq.d for cand, _, _ in near}:
@@ -961,36 +951,33 @@ def _escalate(
         lo[rows], hi[rows] = _slack_enclosure(
             g, t_arr, [c.params for c in group], [c.rhs_coeff for c in group])
 
+    records = []
     for (cand, lhs, rhs), slack_lo, slack_hi in zip(near, lo.tolist(), hi.tolist()):
-        label, params, seq, rhs_coeff = cand.label, cand.params, cand.seq, cand.rhs_coeff
-        double_slack = float(np.min(rhs - lhs))
+        params, seq, rhs_coeff = cand.params, cand.seq, cand.rhs_coeff
         slack = _decided_slack(slack_lo, slack_hi, seq, params, rhs_coeff)
-        outcome = "confirmed" if slack < 0.0 else "cleared"
-        summary.near_misses.append(NearMiss(
-            label=label, min_slack=double_slack, exact_min_slack=slack, outcome=outcome,
-            enclosure=(slack_lo, slack_hi),
-        ))
-        if outcome != "confirmed":
-            continue
+        path = None
+        if slack < 0.0 and out_dir is not None:
+            path = str(out_dir / "counterexamples" / f"ce_{cand.label}.txt")
         record = CounterexampleRecord(
-            label=label,
+            label=cand.label,
             params=params,
             T=seq.T,
             d=seq.d,
-            g=np.asarray(seq.g),
+            g=seq.g,
             g_inf_cap=seq.g_inf_cap,
             rhs_coeff=_rhs_coefficient(params) if rhs_coeff is None else rhs_coeff,
             lhs=lhs,
             rhs=rhs,
-            min_slack=double_slack,
+            min_slack=float(np.min(rhs - lhs)),
             exact_min_slack=slack,
             enclosure=(slack_lo, slack_hi),
+            outcome="confirmed" if slack < 0.0 else "cleared",
+            path=path,
         )
-        path = None
-        if out_dir is not None:
-            path = str(out_dir / "counterexamples" / f"ce_{label}.txt")
+        if path is not None:
             write_counterexample(path, record)
-        summary.violations.append(Violation(label=label, record=record, path=path))
+        records.append(record)
+    return records
 
 
 def conjecture_fuzz(
@@ -1007,17 +994,17 @@ def conjecture_fuzz(
     Trial k draws its gradient sequence from one of four families (uniform,
     clipped Gaussian, sparse with zero runs, tiny-runs-then-spike) using the
     stream derived from (seed, k), and cycles through `param_grid`.  Any
-    coordinate with slack below `DEFAULT_SCREEN_FACTOR * rhs` is a near
-    miss.  The near misses of each batch of `FUZZ_BATCH` trials, and the
-    injected ones, are enclosed together in interval arithmetic; only a
-    proven negative slack counts as a violation (`_decided_slack`).
-    Violations are findings, not failures.
+    sequence with a near-miss coordinate (`_near`) is decided by `_decide`:
+    the near misses of each batch of `FUZZ_BATCH` trials, and the injected
+    ones, are enclosed together in interval arithmetic; only a proven
+    negative slack counts as a violation (`_decided_slack`).  Violations
+    are findings, not failures.
 
     The global minimum slack, its argmin sequence, the relative-slack
-    minimum over coordinates with rhs > 0, the near-miss escalation log,
-    and all confirmed violations are returned in the summary.  Injected
-    candidates run through the identical pipeline but are kept out of the
-    random-trial minima.
+    minimum over coordinates with rhs > 0, and one record per near miss
+    (the confirmed ones are `violations`) are returned in the summary.
+    Injected candidates run through the identical pipeline but are kept
+    out of the random-trial minima.
     """
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
@@ -1041,16 +1028,16 @@ def conjecture_fuzz(
     near = []
     for cand in injected or []:
         lhs, rhs = _sides(cand.seq.g, cand.params, rhs_coeff=cand.rhs_coeff)
-        if np.any(rhs - lhs < DEFAULT_SCREEN_FACTOR * rhs):
+        if _near(lhs, rhs):
             near.append((cand, lhs, rhs))
-    _escalate(near, out_path, summary)
+    summary.near_misses += _decide(near, out_path)
 
     argmin_trial = -1
     argmin_rel_trial = -1
     n_grid = len(param_grid)
     for start in range(0, n_trials, FUZZ_BATCH):
         stop = min(start + FUZZ_BATCH, n_trials)
-        fams, t_arr, g = _trial_batch(seed, start, stop, t_max, d, cap=1.0)
+        fams, t_arr, g = _trial_batch(seed, start, stop, t_max, d)
         batch_params = [param_grid[k % n_grid] for k in range(start, stop)]
         for f, c in enumerate(np.bincount(fams, minlength=len(FUZZ_FAMILIES))):
             summary.family_counts[FUZZ_FAMILIES[f]] += int(c)
@@ -1077,9 +1064,9 @@ def conjecture_fuzz(
             (FuzzCandidate(label=f"trial{start + j}", params=batch_params[j],
                            seq=GradSequence(d=d, g=g[j, :t_arr[j], :], g_inf_cap=1.0)),
              lhs[j], rhs[j])
-            for j in np.flatnonzero(np.any(slack < DEFAULT_SCREEN_FACTOR * rhs, axis=1)).tolist()
+            for j in np.flatnonzero(_near(lhs, rhs)).tolist()
         ]
-        _escalate(near, out_path, summary)
+        summary.near_misses += _decide(near, out_path)
         # free this batch before the next is drawn: holding two at once let
         # the allocator keep two or three batches resident at peak RSS
         del g

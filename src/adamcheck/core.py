@@ -377,6 +377,8 @@ class GradSequence:
         object.__setattr__(self, "g", g)
         if not self.g_inf_cap > 0:
             raise ValueError("g_inf_cap must be positive")
+        if not np.isfinite(g).all():
+            raise ValueError("gradient entries must be finite")
         if g.size and np.max(np.abs(g)) > self.g_inf_cap:
             raise ValueError(
                 f"max |g| = {np.max(np.abs(g))} exceeds declared cap {self.g_inf_cap}"

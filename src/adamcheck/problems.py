@@ -97,6 +97,10 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
     if not np.allclose(a, a.T, rtol=0, atol=1e-12):
         raise ValueError("matrix must be symmetric")
     a = 0.5 * (a + a.T)
+    # a quadratic objective is convex exactly when A is PSD
+    eig = np.linalg.eigvalsh(a)
+    if not np.all(eig >= -1e-12 * max(1.0, float(np.abs(eig).max(initial=0.0)))):
+        raise ValueError(f"matrix must be positive semidefinite, smallest eigenvalue {eig.min()}")
     a.setflags(write=False)
     return a
 

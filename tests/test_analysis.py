@@ -334,6 +334,25 @@ def test_library_proves_first_power_law_violation():
     assert lo[0] <= conjecture_sides_exact(seq, p)[2] <= hi[0]
 
 
+def test_sides_take_the_fuzzer_verdict_on_a_near_tie():
+    # the double slack is exactly 0 and the enclosure straddles 0, so only
+    # the 200-bit pass decides (slack -1.65e-14); conjecture_sides screens
+    # and decides as conjecture_fuzz does, and the two agree
+    p = HyperParams(eta=0.001, beta1=0.3, beta2=0.5, lam=0.9, epsilon=1e-8)
+    T = 25_896
+    g = 0.75 / np.sqrt(np.arange(1, T + 1, dtype=np.float64))
+    g[-1] = float.fromhex("0x1.1d758998f508cp-8")
+    seq = GradSequence(d=1, g=g, g_inf_cap=1.0)
+    report = conjecture_sides(seq, p)
+    assert report.min_slack == 0.0
+    summary = conjecture_fuzz(0, 1, 1, [p], 0, injected=[FuzzCandidate("tie", p, seq)])
+    [record] = summary.near_misses
+    assert record.enclosure[0] < 0.0 < record.enclosure[1]
+    assert record.exact_min_slack == pytest.approx(-1.6460953164754094e-14, rel=1e-9)
+    assert report.violated is True
+    assert report.violated == (record.outcome == "confirmed")
+
+
 # ---------------------------------------------------------------------------
 # auxiliary chains
 # ---------------------------------------------------------------------------
@@ -474,6 +493,7 @@ def test_counterexample_round_trip(tmp_path):
     path = tmp_path / "ce.txt"
     write_counterexample(path, rec)
     back = load_counterexample(path)
+    assert (back.outcome, back.path) == ("confirmed", str(path))
     assert back.label == rec.label
     assert back.params == rec.params
     assert np.array_equal(back.g, rec.g)
@@ -672,7 +692,7 @@ def test_report_serializers():
 
 
 def test_fuzz_trial_sequences_respect_cap_and_families():
-    fam, T, g = _trial_batch(seed=11, start=0, stop=200, t_max=32, d=2, cap=1.0)
+    fam, T, g = _trial_batch(seed=11, start=0, stop=200, t_max=32, d=2)
     assert set(fam.tolist()) == {0, 1, 2, 3}
     assert g.shape == (200, 32, 2)
     assert np.all((1 <= T) & (T <= 32))

@@ -83,6 +83,23 @@ def test_run_unbounded_minimizer_exit_code(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_UNBOUNDED
 
 
+def test_run_logistic_smoke_replays(tmp_path):
+    # a logistic run that reaches its bound report, echoes n_samples and
+    # writes a trajectory that replays bit for bit
+    from adamcheck.core import trajectory_from_csv
+    from adamcheck.optimizers import verify_replay
+
+    problem = "kind = logistic\nd = 3\nseed = 4\nn_samples = 50\n"
+    cfg = write_configs(tmp_path, T=30, problem=problem)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert "problem n_samples    : 50" in (out / "report.txt").read_text().splitlines()
+    params = load_run_config(cfg).params
+    traj = trajectory_from_csv((out / "trajectory.csv").read_text(), params)
+    assert traj.T == 30 and traj.d == 3
+    assert verify_replay(traj)
+
+
 def _tree_bytes(root: Path) -> dict:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -202,11 +219,16 @@ def test_fuzz_exit_code_for_confirmed_violation(tmp_path, monkeypatch):
     # the exit-code mapping is unit-tested here; producing a real confirmed
     # violation through the CLI would presume the inequality false
     import adamcheck.cli as cli
-    from adamcheck.analysis import FuzzSummary, Violation
+    import numpy as np
+    from adamcheck.analysis import CounterexampleRecord, FuzzSummary
+    from adamcheck.core import HyperParams
 
     def fake_fuzz(*args, **kwargs):
         summary = FuzzSummary(n_trials=1, t_max=8, d=1, seed=1, grid=[])
-        summary.violations.append(Violation(label="x", record=None, path=None))
+        summary.near_misses.append(CounterexampleRecord(
+            label="x", params=HyperParams(), T=1, d=1, g=np.ones((1, 1)), g_inf_cap=1.0,
+            rhs_coeff=0.5, lhs=np.ones(1), rhs=np.full(1, 0.5), min_slack=-0.5,
+            exact_min_slack=-0.5, enclosure=(-0.5, -0.5)))
         return summary
 
     monkeypatch.setattr(cli, "conjecture_fuzz", fake_fuzz)

@@ -413,6 +413,10 @@ def test_adam_state_initial():
 def test_grad_sequence_validates_cap():
     with pytest.raises(ValueError, match="exceeds declared cap"):
         GradSequence(d=1, g=np.array([[2.0]]), g_inf_cap=1.0)
+    # |nan| > cap is False, so nonfinite entries are rejected on their own
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            GradSequence(d=1, g=np.array([[0.5], [bad], [0.2]]), g_inf_cap=1.0)
 
 
 def test_grad_sequence_accepts_1d():

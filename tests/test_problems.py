@@ -154,6 +154,37 @@ def test_quadratic_requires_symmetry():
         quadratic_problem([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("build", [
+    lambda a: quadratic_problem(a, np.ones(len(a))),
+    lambda a: noisy_quadratic_problem(a, noise_seed=9, noise_scale=1.0),
+], ids=["quadratic", "noisy-quadratic"])
+def test_quadratic_kinds_require_convexity(build):
+    # diag(1, -1) has a saddle, not a minimizer; diag(1, 0) is convex
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        build(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        build(np.diag([1e6, -1e-3]))
+    assert build(np.diag([1.0, 0.0])).d == 2
+    assert build(np.diag([1.0, -1e-13])).d == 2  # rounding-level negativity
+
+
+def test_random_psd_without_ridge_is_accepted():
+    for d in (1, 2, 7, 30, 60):
+        for seed in range(5):
+            assert random_quadratic(seed, d, mu=0.0).d == d
+            assert random_noisy_quadratic(seed, d, mu=0.0).d == d
+
+
+def test_singular_quadratic_minimizer():
+    # A = diag(1, 0): b in the range of A has the minimizer (1, 0) of least
+    # norm; b outside it leaves the objective unbounded below
+    p = quadratic_problem(np.diag([1.0, 0.0]), [1.0, 0.0])
+    assert minimizer_oracle(p, 3) == pytest.approx([1.0, 0.0], abs=1e-15)
+    p = quadratic_problem(np.diag([1.0, 0.0]), [1.0, 1.0])
+    with pytest.raises(UnboundedMinimizerError):
+        minimizer_oracle(p, 3)
+
+
 def test_logistic_rejects_bad_labels():
     with pytest.raises(ValueError, match="labels"):
         logistic_problem([[1.0]], [0.5])
