@@ -3,7 +3,6 @@ the associated regret-bound machinery."""
 
 from .core import (
     AdamCheckError,
-    AdamState,
     DivisionHazardError,
     GradSequence,
     HyperParams,
@@ -16,7 +15,6 @@ from .core import (
     trajectory_to_csv,
 )
 from .optimizers import (
-    MomentumState,
     adam_run,
     adam_step,
     gd_run,

@@ -13,8 +13,8 @@ The moment-ratio inequality, per coordinate i of a T x d gradient matrix:
 with gamma = beta1**2 / sqrt(beta2) < 1.  It is probed numerically, never
 assumed: near-misses are enclosed in outward-rounded interval arithmetic,
 which proves the sign of the real slack unless the enclosure straddles 0;
-only those are re-evaluated with >= 160-bit software floats.  Confirmed
-violations are serialized for replay.
+only those are re-evaluated with software floats of EXACT_PRECISION_BITS
+(200) bits.  Confirmed violations are serialized for replay.
 """
 
 from __future__ import annotations

@@ -301,9 +301,10 @@ def _race_member(config: RunConfig, problem) -> np.ndarray:
     return values
 
 
-def cmd_race(configs: list[RunConfig], out_dir: str | Path | None = None) -> int:
+def cmd_race(configs: list[RunConfig]) -> int:
     """Race several optimizers on one shared problem and horizon; writes
-    race.csv with columns (step, optimizer, objective_value)."""
+    race.csv with columns (step, optimizer, objective_value) into the first
+    config's output directory."""
     if len(configs) < 2:
         raise ConfigError("race needs at least 2 configs")
     first = configs[0]
@@ -322,7 +323,7 @@ def cmd_race(configs: list[RunConfig], out_dir: str | Path | None = None) -> int
 
     spec = first.problem_spec
     problem = _allocated(f"the {spec['kind']} problem", lambda: problem_from_spec(spec))
-    out = Path(out_dir) if out_dir is not None else first.output_dir
+    out = first.output_dir
     out.mkdir(parents=True, exist_ok=True)
     series = _run_horizon(
         first.T, problem.d, lambda: [_race_member(c, problem) for c in configs]
@@ -437,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
                 load_run_config(path, seed_override=args.seed, out_override=args.out)
                 for path in args.config
             ]
-            return cmd_race(configs, out_dir=args.out)
+            return cmd_race(configs)
         grid = parse_grid_spec(args.grid) if args.grid is not None else None
         return cmd_fuzz(args.trials, args.tmax, args.seed, args.out, d=args.d, grid=grid)
     except ConfigError as err:

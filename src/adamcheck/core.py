@@ -1,9 +1,11 @@
 """Shared domain types, deterministic randomness, and trajectory storage.
 
 All vector quantities are dense 1-D float64 arrays of a fixed dimension d.
-Randomness everywhere in the library flows through :class:`RandomStream`,
-a thin wrapper over the Philox 4x64 counter-based generator, so that every
-experiment is reproducible from a 64-bit seed alone.
+Randomness everywhere in the library is Philox 4x64-10 counter-based
+output: :class:`RandomStream` steps one stream, while :func:`philox_blocks`
+and :func:`philox_raw` compute the same words of many streams directly
+(the fuzz trials and the per-step noise centers).  Every experiment is
+reproducible from a 64-bit seed alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "NumericInputError",
     "DivisionHazardError",
     "HyperParams",
-    "AdamState",
     "StepRecord",
     "Trajectory",
     "GradSequence",
@@ -288,36 +289,27 @@ class HyperParams:
         return self.beta1 ** 2 / math.sqrt(self.beta2)
 
 
-class AdamState(NamedTuple):
-    """Optimizer state after t steps: step counter, moments, weights, and
-    the running powers (beta1**t, beta2**t, lam**t)."""
+class StepRecord(NamedTuple):
+    """ADAM after step t: the weights w_t, the moments and the running powers
+    (beta1**t, beta2**t, lam**t) that step t + 1 starts from, and what step t
+    saw: its gradient g as checked (1-D float64) and m_hat, v_hat.  The
+    arrays are held as they are, not copied."""
 
     t: int
+    w: np.ndarray
     m: np.ndarray
     v: np.ndarray
-    w: np.ndarray
     pows: tuple[float, float, float]
-
-    @classmethod
-    def initial(cls, w0) -> "AdamState":
-        w0 = np.asarray(w0, dtype=np.float64).reshape(-1)
-        return cls(
-            t=0, m=np.zeros_like(w0), v=np.zeros_like(w0), w=w0.copy(), pows=(1.0, 1.0, 1.0)
-        )
-
-
-class StepRecord(NamedTuple):
-    """Everything observed during one optimizer step, as 1-D float64 arrays
-    (not copies); `e` is the objective value at `w_before` (NaN when the
-    step was driven without an objective)."""
-
-    t: int
-    w_before: np.ndarray
     g: np.ndarray
-    e: float
     m_hat: np.ndarray
     v_hat: np.ndarray
-    w_after: np.ndarray
+
+    @classmethod
+    def initial(cls, w0) -> "StepRecord":
+        """The state before step 1: a copy of w0, everything else zero."""
+        w0 = np.array(w0, dtype=np.float64).reshape(-1)
+        zero = np.zeros_like(w0)
+        return cls(0, w0, zero, zero, (1.0, 1.0, 1.0), zero, zero, zero)
 
 
 @dataclass
@@ -326,8 +318,7 @@ class Trajectory:
 
     `w` is (T+1, d) with row t = w_t, so row 0 is w_0.  Row t-1 of `g`,
     `m_hat` and `v_hat`, each (T, d), and entry t-1 of `e`, (T,), belong to
-    step t; `e` is the objective value at w_{t-1} (NaN when the step was
-    driven without an objective).
+    step t; `e` is the objective value at w_{t-1}, as the oracle returned it.
     """
 
     params: HyperParams

@@ -10,22 +10,13 @@ which the inequality evaluators in `analysis` run as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import (
-    AdamState,
-    DivisionHazardError,
-    HyperParams,
-    NumericInputError,
-    StepRecord,
-    Trajectory,
-)
+from .core import DivisionHazardError, HyperParams, NumericInputError, StepRecord, Trajectory
 
 __all__ = [
-    "MomentumState",
     "gd_step",
     "momentum_step",
     "adam_step",
@@ -54,27 +45,17 @@ def gd_step(w, g, eta: float) -> np.ndarray:
     return w - 0.5 * eta * g
 
 
-@dataclass
-class MomentumState:
-    """Weights plus the previous weight change (zero before the first step)."""
-
-    w: np.ndarray
-    delta_prev: np.ndarray
-
-    @classmethod
-    def initial(cls, w0) -> "MomentumState":
-        w0 = np.asarray(w0, dtype=np.float64).reshape(-1)
-        return cls(w=w0.copy(), delta_prev=np.zeros_like(w0))
-
-
-def momentum_step(st: MomentumState, g, eta: float, alpha: float) -> MomentumState:
-    """One momentum step: delta = -(eta/2) g + alpha * delta_prev."""
+def momentum_step(w, delta_prev, g, eta: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """One momentum step: delta = -(eta/2) g + alpha * delta_prev, where
+    delta_prev is the previous weight change (zero before the first step);
+    returns (w + delta, delta)."""
+    w = np.asarray(w, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    _check_lengths(st.w, g)
+    _check_lengths(w, g)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    delta = -0.5 * eta * g + alpha * st.delta_prev
-    return MomentumState(w=st.w + delta, delta_prev=delta)
+    delta = -0.5 * eta * g + alpha * delta_prev
+    return w + delta, delta
 
 
 def moment_step(m, v, g, pows, beta1, beta2, lam):
@@ -96,10 +77,9 @@ def moment_step(m, v, g, pows, beta1, beta2, lam):
     return m, v, m_hat, v_hat, (b1_pow, b2_pow, lam_pow * lam)
 
 
-def adam_step(
-    st: AdamState, g, p: HyperParams, e: float = math.nan
-) -> tuple[AdamState, StepRecord]:
-    """One ADAM step from state `st` with gradient `g`.
+def adam_step(st: StepRecord, g, p: HyperParams) -> StepRecord:
+    """One ADAM step from state `st` with gradient `g`; returns the state
+    after the step (start from `StepRecord.initial(w0)`).
 
     With t = st.t + 1, `moment_step` gives m_hat and v_hat, and
 
@@ -129,8 +109,7 @@ def adam_step(
     else:
         ratio = m_hat / (root_v + p.epsilon)
 
-    w_after = st.w - (p.eta / math.sqrt(t)) * ratio
-    return AdamState(t, m, v, w_after, pows), StepRecord(t, st.w, g, e, m_hat, v_hat, w_after)
+    return StepRecord(t, st.w - (p.eta / math.sqrt(t)) * ratio, m, v, pows, g, m_hat, v_hat)
 
 
 def adam_run(
@@ -144,11 +123,12 @@ def adam_run(
     test) and return the full trajectory.
 
     Row t of the trajectory's preallocated columns is filled from the
-    record of step t.  `progress(t, T)` is invoked every 1000 steps.
+    record of step t and the oracle's objective value.  `progress(t, T)` is
+    invoked every 1000 steps.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
-    st = AdamState.initial(w0)
+    st = StepRecord.initial(w0)
     d = len(st.w)
     traj = Trajectory(
         p, w=np.empty((T + 1, d)), g=np.empty((T, d)), m_hat=np.empty((T, d)),
@@ -156,13 +136,12 @@ def adam_run(
     )
     traj.w[0] = st.w
     for t in range(1, T + 1):
-        e, g = grad_oracle(st.w, t)
-        st, rec = adam_step(st, g, p, e=e)
-        traj.w[t] = rec.w_after
-        traj.g[t - 1] = rec.g
-        traj.m_hat[t - 1] = rec.m_hat
-        traj.v_hat[t - 1] = rec.v_hat
-        traj.e[t - 1] = rec.e
+        traj.e[t - 1], g = grad_oracle(st.w, t)
+        st = adam_step(st, g, p)
+        traj.w[t] = st.w
+        traj.g[t - 1] = st.g
+        traj.m_hat[t - 1] = st.m_hat
+        traj.v_hat[t - 1] = st.v_hat
         if progress is not None and t % 1000 == 0:
             progress(t, T)
     return traj
@@ -187,13 +166,14 @@ def momentum_run(
     w0, grad_oracle: GradOracle, eta: float, alpha: float, T: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the momentum method for T steps; returns (objectives, final w)."""
-    st = MomentumState.initial(w0)
+    w = np.asarray(w0, dtype=np.float64).reshape(-1).copy()
+    delta = np.zeros_like(w)
     values = np.empty(T)
     for t in range(1, T + 1):
-        e, g = grad_oracle(st.w, t)
+        e, g = grad_oracle(w, t)
         values[t - 1] = e
-        st = momentum_step(st, g, eta, alpha)
-    return values, st.w
+        w, delta = momentum_step(w, delta, g, eta, alpha)
+    return values, w
 
 
 def verify_replay(traj: Trajectory) -> bool:

@@ -90,10 +90,17 @@ class ConvexProblem:
     data: QuadraticData | LogisticData | NoisyQuadraticData
 
 
+def _finite(name: str, x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} has a nonfinite entry")
+    return x
+
+
 def _symmetric(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    _finite("matrix A", a)
     if not np.allclose(a, a.T, rtol=0, atol=1e-12):
         raise ValueError("matrix must be symmetric")
     a = 0.5 * (a + a.T)
@@ -107,7 +114,7 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
 
 def quadratic_problem(a, b) -> ConvexProblem:
     a = _symmetric(a)
-    b = np.array(b, dtype=np.float64, copy=True).reshape(-1)
+    b = _finite("b", np.array(b, dtype=np.float64, copy=True).reshape(-1))
     if len(b) != a.shape[0]:
         raise ValueError("b length must match matrix dimension")
     b.setflags(write=False)
@@ -131,13 +138,14 @@ def logistic_problem(x, y, mu: float = 1e-4) -> ConvexProblem:
     x = np.array(x, dtype=np.float64, copy=True)
     if x.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
+    _finite("feature matrix", x)
     y = np.array(y, dtype=np.float64, copy=True).reshape(-1)
     if len(y) != x.shape[0]:
         raise ValueError("label length must match sample count")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mu must be nonnegative and finite, got {mu}")
     x.setflags(write=False)
     y.setflags(write=False)
     return ConvexProblem(d=x.shape[1], kind="logistic", data=LogisticData(x=x, y=y, mu=mu))
@@ -156,8 +164,8 @@ def synthetic_logistic(seed: int, n: int, d: int, mu: float = 1e-4) -> ConvexPro
 
 def noisy_quadratic_problem(a, noise_seed: int, noise_scale: float) -> ConvexProblem:
     a = _symmetric(a)
-    if not noise_scale > 0:
-        raise ValueError("noise_scale must be positive")
+    if not 0 < noise_scale < math.inf:
+        raise ValueError(f"noise_scale must be positive and finite, got {noise_scale}")
     return ConvexProblem(
         d=a.shape[0],
         kind="noisy-quadratic",

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from adamcheck.core import (
-    AdamState,
     GradSequence,
     HyperParams,
+    StepRecord,
     seeded_rng,
 )
 from adamcheck.optimizers import adam_run, adam_step
@@ -81,14 +81,14 @@ def test_criterion_1_algorithm_fidelity():
     with criterion(1, "algorithm fidelity"):
         # two-step constant-gradient example with decaying first-moment rate
         p = HyperParams(eta=1.0, beta1=0.9, beta2=0.999, lam=0.5, epsilon=0.0)
-        st = AdamState.initial([0.0])
+        st = StepRecord.initial([0.0])
         expected = _independent_two_step([1.0, 1.0], 0.9, 0.999, 0.5, 1.0)
         for (m, v, m_hat, v_hat, w) in expected:
-            st, rec = adam_step(st, [1.0], p)
+            st = adam_step(st, [1.0], p)
             assert st.m[0] == pytest.approx(m, rel=1e-12)
             assert st.v[0] == pytest.approx(v, rel=1e-12)
-            assert rec.m_hat[0] == pytest.approx(m_hat, rel=1e-12)
-            assert rec.v_hat[0] == pytest.approx(v_hat, rel=1e-12)
+            assert st.m_hat[0] == pytest.approx(m_hat, rel=1e-12)
+            assert st.v_hat[0] == pytest.approx(v_hat, rel=1e-12)
             assert st.w[0] == pytest.approx(w, rel=1e-12)
 
         # first-step magnitude on 10**3 random gradients
@@ -98,7 +98,7 @@ def test_criterion_1_algorithm_fidelity():
         for g in g_samples:
             if g == 0.0:
                 continue
-            st, _ = adam_step(AdamState.initial([0.0]), [g], p)
+            st = adam_step(StepRecord.initial([0.0]), [g], p)
             expected_step = p.eta * correction * abs(g) / (abs(g) + p.epsilon)
             assert abs(st.w[0]) == pytest.approx(expected_step, rel=1e-12)
 

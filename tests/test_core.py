@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adamcheck.core import (
-    AdamState,
     GradSequence,
     HyperParams,
+    StepRecord,
     Trajectory,
     parse_kv_text,
     seeded_rng,
@@ -145,16 +145,16 @@ def test_adam_run_rows_equal_step_records(seed, T, d, epsilon):
     w0 = rng.standard_normal(d)
     traj = adam_run(w0, lambda w, t: (e_all[t - 1], g_all[t - 1]), p, T)
     assert (traj.T, traj.d) == (T, d)
-    st_ = AdamState.initial(w0)
+    st_ = StepRecord.initial(w0)
     assert _bits(traj.w[0]) == _bits(w0)
+    assert _bits(traj.e) == _bits(e_all)
     for t in range(1, T + 1):
-        st_, rec = adam_step(st_, g_all[t - 1], p, e=e_all[t - 1])
-        assert _bits(traj.w[t]) == _bits(rec.w_after)
-        assert _bits(traj.w[t - 1]) == _bits(rec.w_before)
-        assert _bits(traj.g[t - 1]) == _bits(rec.g)
-        assert _bits(traj.m_hat[t - 1]) == _bits(rec.m_hat)
-        assert _bits(traj.v_hat[t - 1]) == _bits(rec.v_hat)
-        assert _bits(traj.e[t - 1]) == _bits(rec.e)
+        st_ = adam_step(st_, g_all[t - 1], p)
+        assert st_.t == t
+        assert _bits(traj.w[t]) == _bits(st_.w)
+        assert _bits(traj.g[t - 1]) == _bits(st_.g)
+        assert _bits(traj.m_hat[t - 1]) == _bits(st_.m_hat)
+        assert _bits(traj.v_hat[t - 1]) == _bits(st_.v_hat)
 
 
 def test_adam_run_columns_do_not_alias_oracle_buffers():
@@ -403,7 +403,7 @@ def test_moment_convex_combination_bounds():
 
 def test_adam_state_initial():
     w0 = np.array([1.0, 2.0])
-    st = AdamState.initial(w0)
+    st = StepRecord.initial(w0)
     assert st.t == 0 and np.array_equal(st.m, [0.0, 0.0]) and np.array_equal(st.v, [0.0, 0.0])
     assert st.pows == (1.0, 1.0, 1.0)
     w0[0] = 5.0

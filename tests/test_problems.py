@@ -190,6 +190,27 @@ def test_logistic_rejects_bad_labels():
         logistic_problem([[1.0]], [0.5])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: quadratic_problem(np.eye(2), [NAN, 1.0]), "b"),
+    (lambda: quadratic_problem([[1.0, 0.0], [0.0, INF]], np.zeros(2)), "matrix A"),
+    (lambda: noisy_quadratic_problem([[NAN]], noise_seed=1, noise_scale=1.0), "matrix A"),
+    (lambda: noisy_quadratic_problem(np.eye(2), noise_seed=1, noise_scale=INF), "noise_scale"),
+    (lambda: logistic_problem([[1.0], [NAN]], [1.0, -1.0]), "feature matrix"),
+    (lambda: logistic_problem([[1.0], [-1.0]], [1.0, -1.0], mu=INF), "mu"),
+    (lambda: logistic_problem([[1.0], [-1.0]], [1.0, -1.0], mu=NAN), "mu"),
+], ids=["quadratic-b", "quadratic-A", "noisy-A", "noisy-scale", "logistic-x",
+        "logistic-mu-inf", "logistic-mu-nan"])
+def test_problems_reject_nonfinite_data(build, field):
+    # one line naming the field, before any check that a NaN would mislead
+    # (symmetry, the eigenvalue sign) or a run that would blame the weights
+    with pytest.raises(ValueError, match=f"^{field} ") as err:
+        build()
+    assert "\n" not in str(err.value)
+
+
 def test_evaluate_rejects_nonfinite_weights():
     p = quadratic_problem(np.eye(1), np.zeros(1))
     with pytest.raises(NumericInputError):
