@@ -613,16 +613,19 @@ _TRIAL_WORDS = 1 << 16
 
 def _trial_batch(
     seed: int, start: int, stop: int, t_max: int, d: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(family, T, gradients) of fuzz trials start..stop-1, in array operations.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(order, family, T, gradients) of fuzz trials start..stop-1, in array
+    operations.
 
     Trial k reads the words of stream (seed, STREAM_FUZZ_BASE + k): word 0
     gives its family, word 1 its horizon T, and the words after them its
     n = T d gradient entries in row-major order (see README, "Determinism
     and randomness").  Only the words a trial reads are drawn, each at its
     computed counter.  Every value is bitwise the value the stream's
-    documented conversions give.  The gradients come back zero-padded in a
-    (count, t_max, d) array whose row b holds trial start + b.
+    documented conversions give.  The batch's rows run longest horizon
+    first, ties in trial order, as `_batch_sides` steps them: row r holds
+    trial start + order[r], its family, its T and its gradients, in a
+    (count, t_max, d) array that is zero beyond each row's T.
     """
     count = stop - start
     g = np.zeros((count, t_max, d))
@@ -630,19 +633,21 @@ def _trial_batch(
     head = philox_blocks(seed, streams, np.ones(count, dtype=np.uint64))
     fam = integers_from_words(head[:, 0], len(FUZZ_FAMILIES))
     T = 1 + integers_from_words(head[:, 1], t_max)
+    order = np.argsort(-T, kind="stable")
+    row = np.argsort(order)  # the row of each trial
     n = T * d
     p = (n + 1) // 2
     # words read per trial; an adversarial trial reads 1 to 3 spike triples
     counts = np.choose(fam, (2 + n, 2 + 2 * p, 3 + 2 * n, 13 + n))
     part = (np.cumsum(counts) - counts) // _TRIAL_WORDS
     flat = g.reshape(-1)
-    for rows in np.split(np.arange(count), np.flatnonzero(np.diff(part)) + 1):
-        words, off = _trial_words(seed, streams[rows], head[rows], counts[rows])
+    for ks in np.split(np.arange(count), np.flatnonzero(np.diff(part)) + 1):
+        words, off = _trial_words(seed, streams[ks], head[ks], counts[ks])
         for f in range(len(FUZZ_FAMILIES)):
-            sel = fam[rows] == f
-            if np.any(sel):
-                _fill_family(flat, f, words, off[sel], rows[sel] * (t_max * d), T[rows[sel]], d)
-    return fam, T, g
+            sel = ks[fam[ks] == f]
+            if len(sel):
+                _fill_family(flat, f, words, off[sel - ks[0]], row[sel] * (t_max * d), T[sel], d)
+    return order, fam[order], T[order], g
 
 
 def _fill_family(
@@ -697,50 +702,78 @@ def _fill_family(
 def _batch_sides(
     g: np.ndarray,
     t_arr: np.ndarray,
-    params: list[HyperParams],
-    rhs_coeff: float | None = None,
+    grid: list[HyperParams],
+    rhs_coeff: float | list[float | None] | None = None,
+    grid_index: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized double-precision sides for a batch of trials.
 
     Runs `moment_step` (no weight update) and accumulates the ratio sum
     with the 0/0 -> 0 convention: v_hat = 0 forces m_hat = 0.  g is
-    (B, t_max, d) zero-padded beyond each trial's horizon; the ratio sum
-    only accumulates while t <= T_b, and the zero padding leaves the
-    gradient-history norms untouched.  `rhs_coeff` replaces the canonical
-    coefficient of every trial.
+    (B, t_max, d); row b holds a trial of horizon t_arr[b], run with
+    grid[grid_index[b]] (grid[b] when `grid_index` is None).  `rhs_coeff`
+    replaces the canonical coefficient of every row, or of each row given
+    a list (None keeps the canonical one).
+
+    Rows run longest horizon first, as `_trial_batch` and the injected
+    candidates' batches lay them out; rows in another order run as a
+    sorted copy.  Step t updates only the prefix of rows with T >= t, so
+    nothing beyond a row's horizon is read, and the loop ends with the
+    longest row.  A row's recursion never reads another row, so each row's
+    sides are those of the row alone, bit for bit.
     """
-    b, t_max, d = g.shape
-    if len(set(params)) == 1:
+    b, _, d = g.shape
+    index = np.arange(b) if grid_index is None else np.asarray(grid_index)
+    coeff = np.array([_rhs_coefficient(p) for p in grid])[index]
+    if rhs_coeff is not None:
+        given = rhs_coeff if isinstance(rhs_coeff, list) else [rhs_coeff] * b
+        coeff = np.array([c if r is None else r for c, r in zip(coeff.tolist(), given)])
+    order = None
+    if np.any(t_arr[1:] > t_arr[:-1]):
+        order = np.argsort(-t_arr, kind="stable")
+        g, t_arr, index, coeff = g[order], t_arr[order], index[order], coeff[order]
+
+    if np.all(index == index[0]):
         # one parameter set (every B = 1 call): plain-float coefficients
         # give the same IEEE products as a column of equal entries, and
         # save the eight small array operations per step that made B = 1
         # calls about 1.5x slower
-        beta1, beta2, lam = params[0].beta1, params[0].beta2, params[0].lam
+        p = grid[index[0]]
+        beta1, beta2, lam, pows = p.beta1, p.beta2, p.lam, (1.0, 1.0, 1.0)
+        columns = False
     else:
-        beta1 = np.array([p.beta1 for p in params])[:, None]
-        beta2 = np.array([p.beta2 for p in params])[:, None]
-        lam = np.array([p.lam for p in params])[:, None]
-    if rhs_coeff is None:
-        coeff = np.array([_rhs_coefficient(p) for p in params])[:, None]
-    else:
-        coeff = np.full((b, 1), rhs_coeff)
+        beta1, beta2, lam = (np.array([getattr(p, k) for p in grid])[index][:, None]
+                             for k in ("beta1", "beta2", "lam"))
+        # columns of ones: 1 * x is x, so the powers match a scalar start
+        pows = (np.ones((b, 1)),) * 3
+        columns = True
 
     m = np.zeros((b, d))
     v = np.zeros((b, d))
-    pows = (1.0, 1.0, 1.0)
     lhs = np.zeros((b, d))
     sumsq = np.zeros((b, d))
-    for t in range(1, t_max + 1):
-        gt = g[:, t - 1, :]
+    lhs_live, sumsq_live = lhs, sumsq
+    # rows with T >= t, for t = 1 .. the longest horizon
+    live = np.searchsorted(-t_arr, -np.arange(1, int(t_arr[0]) + 1), side="right")
+    n = b
+    for t, n_t in enumerate(live.tolist(), start=1):
+        if n_t < n:
+            n = n_t
+            m, v, lhs_live, sumsq_live = m[:n], v[:n], lhs[:n], sumsq[:n]
+            if columns:
+                beta1, beta2, lam = beta1[:n], beta2[:n], lam[:n]
+                pows = tuple(x[:n] for x in pows)
+        gt = g[:n, t - 1, :]
         m, v, m_hat, v_hat, pows = moment_step(m, v, gt, pows, beta1, beta2, lam)
-        # in t order, so zero padding adds exact zeros after the last step
-        sumsq += gt * gt
+        sumsq_live += gt * gt
         denom = np.sqrt(t * v_hat)
         # t >= 1, so denom > 0 exactly where v_hat > 0
-        live = denom > 0.0
-        term = np.where(live, m_hat * m_hat / np.where(live, denom, 1.0), 0.0)
-        lhs += np.where((t_arr >= t)[:, None], term, 0.0)
-    rhs = coeff * np.sqrt(sumsq)
+        pos = denom > 0.0
+        lhs_live += np.where(pos, m_hat * m_hat / np.where(pos, denom, 1.0), 0.0)
+    rhs = coeff[:, None] * np.sqrt(sumsq)
+    if order is not None:
+        row = np.argsort(order)
+        return lhs[row], rhs[row]
     return lhs, rhs
 
 
@@ -932,6 +965,22 @@ def _near(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.any(rhs - lhs < DEFAULT_SCREEN_FACTOR * rhs, axis=-1)
 
 
+def _width_groups(cands: list[FuzzCandidate]):
+    """Per gradient width d, (rows, group, T, g): the candidates of width d
+    as a batch whose rows run longest horizon first, ties in the given
+    order.  Row r holds candidate rows[r] = group[r], of horizon T[r];
+    g is zero beyond it."""
+    for d in sorted({cand.seq.d for cand in cands}):
+        rows = sorted((k for k, cand in enumerate(cands) if cand.seq.d == d),
+                      key=lambda k: -cands[k].seq.T)
+        group = [cands[k] for k in rows]
+        t_arr = np.array([cand.seq.T for cand in group])
+        g = np.zeros((len(group), int(t_arr[0]), d))
+        for row, cand in zip(g, group):
+            row[:cand.seq.T] = cand.seq.g
+        yield rows, group, t_arr, g
+
+
 def _decide(
     near: list[tuple[FuzzCandidate, np.ndarray, np.ndarray]], out_dir: Path | None
 ) -> list[CounterexampleRecord]:
@@ -941,13 +990,7 @@ def _decide(
     `out_dir` when it is set."""
     lo = np.empty(len(near))
     hi = np.empty(len(near))
-    for d in {cand.seq.d for cand, _, _ in near}:
-        rows = [k for k, (cand, _, _) in enumerate(near) if cand.seq.d == d]
-        group = [near[k][0] for k in rows]
-        t_arr = np.array([cand.seq.T for cand in group])
-        g = np.zeros((len(group), int(t_arr.max()), d))
-        for row, cand in zip(g, group):
-            row[:cand.seq.T] = cand.seq.g
+    for rows, group, t_arr, g in _width_groups([cand for cand, _, _ in near]):
         lo[rows], hi[rows] = _slack_enclosure(
             g, t_arr, [c.params for c in group], [c.rhs_coeff for c in group])
 
@@ -1025,11 +1068,13 @@ def conjecture_fuzz(
     if out_path is not None:
         (out_path / "counterexamples").mkdir(parents=True, exist_ok=True)
 
-    near = []
-    for cand in injected or []:
-        lhs, rhs = _sides(cand.seq.g, cand.params, rhs_coeff=cand.rhs_coeff)
-        if _near(lhs, rhs):
-            near.append((cand, lhs, rhs))
+    injected = list(injected or [])
+    sides = [None] * len(injected)
+    for rows, group, t_arr, g in _width_groups(injected):
+        lhs, rhs = _batch_sides(g, t_arr, [c.params for c in group], [c.rhs_coeff for c in group])
+        for k, lhs_k, rhs_k in zip(rows, lhs, rhs):
+            sides[k] = (lhs_k, rhs_k)
+    near = [(cand, lhs, rhs) for cand, (lhs, rhs) in zip(injected, sides) if _near(lhs, rhs)]
     summary.near_misses += _decide(near, out_path)
 
     argmin_trial = -1
@@ -1037,11 +1082,13 @@ def conjecture_fuzz(
     n_grid = len(param_grid)
     for start in range(0, n_trials, FUZZ_BATCH):
         stop = min(start + FUZZ_BATCH, n_trials)
-        fams, t_arr, g = _trial_batch(seed, start, stop, t_max, d)
-        batch_params = [param_grid[k % n_grid] for k in range(start, stop)]
+        order, fams, t_arr, g = _trial_batch(seed, start, stop, t_max, d)
         for f, c in enumerate(np.bincount(fams, minlength=len(FUZZ_FAMILIES))):
             summary.family_counts[FUZZ_FAMILIES[f]] += int(c)
-        lhs, rhs = _batch_sides(g, t_arr, batch_params)
+        lhs, rhs = _batch_sides(g, t_arr, param_grid, grid_index=(start + order) % n_grid)
+        # back to trial order, in which the minima below break ties
+        row = np.argsort(order)  # the row of each trial
+        lhs, rhs, t_arr = lhs[row], rhs[row], t_arr[row]
         slack = rhs - lhs
 
         trial_min = slack.min(axis=1)
@@ -1049,7 +1096,7 @@ def conjecture_fuzz(
         if trial_min[j_best] < summary.min_slack:
             summary.min_slack = float(trial_min[j_best])
             argmin_trial = start + j_best
-            argmin_g = g[j_best, :t_arr[j_best], :].copy()  # not a view: frees the batch
+            argmin_g = g[row[j_best], :t_arr[j_best], :].copy()  # not a view: frees the batch
 
         positive = rhs > 0.0
         if np.any(positive):
@@ -1061,8 +1108,8 @@ def conjecture_fuzz(
                 argmin_rel_trial = start + j_rel
 
         near = [
-            (FuzzCandidate(label=f"trial{start + j}", params=batch_params[j],
-                           seq=GradSequence(d=d, g=g[j, :t_arr[j], :], g_inf_cap=1.0)),
+            (FuzzCandidate(label=f"trial{start + j}", params=param_grid[(start + j) % n_grid],
+                           seq=GradSequence(d=d, g=g[row[j], :t_arr[j], :], g_inf_cap=1.0)),
              lhs[j], rhs[j])
             for j in np.flatnonzero(_near(lhs, rhs)).tolist()
         ]

@@ -180,13 +180,13 @@ _PHILOX_CHUNK = 8192
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit products m * x, with the
-    high word assembled from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m) & _LO32, np.uint64(m) >> _HALF
+    high word assembled from 32-bit halves.  No partial sum exceeds
+    2**64 - 2**32, so none wraps and the high word is exact."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & _LO32, x >> _HALF
-    lh = x_lo * m_hi
-    hl = x_hi * m_lo
-    mid = ((x_lo * m_lo) >> _HALF) + (lh & _LO32) + (hl & _LO32)
-    hi = x_hi * m_hi + (lh >> _HALF) + (hl >> _HALF) + (mid >> _HALF)
+    t = x_lo * m_hi + ((x_lo * m_lo) >> _HALF)
+    u = x_hi * m_lo + (t & _LO32)
+    hi = x_hi * m_hi + (t >> _HALF) + (u >> _HALF)
     return hi, x * np.uint64(m)
 
 

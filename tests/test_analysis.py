@@ -621,20 +621,62 @@ def six_boundary_candidates():
             for k in range(6)]
 
 
-def test_fuzz_runs_sides_once_per_injected_candidate(tmp_path):
-    # screening computes each candidate's sides once; a confirmed
-    # candidate's record reuses them
+def test_fuzz_screens_injected_candidates_in_one_batch_per_width(tmp_path):
+    # one _batch_sides call per gradient width covers every injected
+    # candidate, and a confirmed record reuses the sides that screened it
     cands = [boundary_candidate("confirmed", 71, 24, 0.5),
              boundary_candidate("cleared", 79, 16, 1.0 + 5e-7),
-             boundary_candidate("far", 73, 24, 2.0)]
-    with mock.patch.object(analysis, "_sides", wraps=_sides) as spy:
+             boundary_candidate("far", 73, 24, 2.0),
+             boundary_candidate("wide", 75, 12, 0.5, d=2)]
+    batches = []
+
+    def spy(*args, **kwargs):
+        batches.append((args[0].shape, _batch_sides(*args, **kwargs)))
+        return batches[-1][1]
+
+    with mock.patch.object(analysis, "_batch_sides", spy), \
+         mock.patch.object(analysis, "_sides", side_effect=AssertionError("one at a time")):
         summary = conjecture_fuzz(0, 24, 1, default_fuzz_grid(), seed=3, out_dir=tmp_path,
                                   injected=cands)
-    calls = [call.args[0] for call in spy.call_args_list]
-    assert len(calls) == len(cands)
-    assert all(g is c.seq.g for g, c in zip(calls, cands))
+    assert [shape for shape, _ in batches] == [(3, 24, 1), (1, 12, 2)]
     assert [(nm.label, nm.outcome) for nm in summary.near_misses] == [
-        ("confirmed", "confirmed"), ("cleared", "cleared")]
+        ("confirmed", "confirmed"), ("cleared", "cleared"), ("wide", "confirmed")]
+    confirmed = summary.near_misses[0]
+    lhs, rhs = batches[0][1]
+    assert np.shares_memory(confirmed.lhs, lhs) and np.shares_memory(confirmed.rhs, rhs)
+
+
+def test_fuzz_batched_candidates_match_one_at_a_time_screening(tmp_path):
+    # two widths, horizons out of order, and ties: the records are those
+    # of screening each candidate alone with _sides
+    grid = default_fuzz_grid()
+    specs = [("a", 5, 0.5, 1), ("b", 40, 1.0 + 1e-9, 1), ("c", 17, 1.0 - 1e-9, 2),
+             ("d", 40, 2.0, 1), ("e", 1, 0.5, 2), ("f", 23, 1.0 + 5e-7, 2),
+             ("g", 40, 1.0 - 1e-9, 1), ("h", 17, 0.9, 2)]
+    cands = []
+    for k, (label, T, factor, d) in enumerate(specs):
+        cand = boundary_candidate(label, 200 + k, T, factor, d=d)
+        # a grid triple per candidate, the canonical coefficient on some
+        params = grid[k % len(grid)]
+        seq = cand.seq
+        coeff = max(float(l) / float(np.linalg.norm(col))
+                    for l, col in zip(_sides(seq.g, params)[0], seq.g.T)) * factor
+        cands.append(FuzzCandidate(label=label, params=params, seq=seq,
+                                   rhs_coeff=None if label == "d" else coeff))
+    alone = []
+    for cand in cands:
+        lhs, rhs = _sides(cand.seq.g, cand.params, rhs_coeff=cand.rhs_coeff)
+        if analysis._near(lhs, rhs):
+            alone.append((cand, lhs, rhs))
+    expected = analysis._decide(alone, None)
+    summary = conjecture_fuzz(0, 8, 1, grid, seed=3, out_dir=tmp_path, injected=cands)
+    assert {nm.outcome for nm in expected} == {"confirmed", "cleared"}
+    assert len(summary.near_misses) == len(expected)
+    for got, want in zip(summary.near_misses, expected):
+        assert (got.label, got.outcome, got.enclosure) == (want.label, want.outcome, want.enclosure)
+        assert got.lhs.tobytes() == want.lhs.tobytes()
+        assert got.rhs.tobytes() == want.rhs.tobytes()
+        assert got.exact_min_slack == want.exact_min_slack
 
 
 def text_tree(root):
@@ -692,10 +734,11 @@ def test_report_serializers():
 
 
 def test_fuzz_trial_sequences_respect_cap_and_families():
-    fam, T, g = _trial_batch(seed=11, start=0, stop=200, t_max=32, d=2)
+    order, fam, T, g = _trial_batch(seed=11, start=0, stop=200, t_max=32, d=2)
     assert set(fam.tolist()) == {0, 1, 2, 3}
     assert g.shape == (200, 32, 2)
-    assert np.all((1 <= T) & (T <= 32))
+    assert sorted(order.tolist()) == list(range(200))
+    assert np.all((1 <= T) & (T <= 32)) and np.all(np.diff(T) <= 0)
     assert np.max(np.abs(g)) <= 1.0
     for gk, Tk in zip(g, T):
         assert not np.any(gk[Tk:])

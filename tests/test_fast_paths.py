@@ -24,6 +24,8 @@ from adamcheck.cli import _initial_weights, load_run_config
 from adamcheck.core import (
     _CSV_STEPS,
     _PHILOX_CHUNK,
+    _PHILOX_M,
+    _mulhilo,
     STREAM_FUZZ_BASE,
     STREAM_NOISE_BASE,
     TRAJECTORY_HEADER,
@@ -37,7 +39,7 @@ from adamcheck.core import (
     seeded_rng,
     trajectory_to_csv,
 )
-from adamcheck.optimizers import adam_run
+from adamcheck.optimizers import adam_run, moment_step
 from adamcheck.problems import (
     _CENTER_BLOCK,
     _center_sum,
@@ -94,6 +96,16 @@ def test_philox_raw_rejects_out_of_range_seed():
         philox_raw(-1, [0], 4)
     with pytest.raises(ValueError, match="64 bits"):
         philox_raw(2 ** 64, [0], 4)
+
+
+@pytest.mark.parametrize("m", _PHILOX_M, ids=hex)
+def test_mulhilo_matches_integer_product(m):
+    # the words whose halves are extreme, then random ones
+    edges = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+    words = edges + RandomStream(5).raw(2000).tolist()
+    hi, lo = _mulhilo(m, np.array(words, dtype=np.uint64))
+    assert hi.tolist() == [(x * m) >> 64 for x in words]
+    assert lo.tolist() == [(x * m) & (2 ** 64 - 1) for x in words]
 
 
 @settings(max_examples=100, deadline=None)
@@ -449,14 +461,18 @@ def _trial_sequence(seed, k, t_max, d, spikes=None):
 
 
 def _assert_batch_matches_reference(seed, start, stop, t_max, d):
-    fam, T, g = _trial_batch(seed, start, stop, t_max, d)
+    order, fam, T, g = _trial_batch(seed, start, stop, t_max, d)
     assert g.shape == (stop - start, t_max, d)
-    for b, k in enumerate(range(start, stop)):
-        f, Tk, gk = _trial_sequence(seed, k, t_max, d)
-        assert (fam[b], T[b]) == (f, Tk)
+    # rows run longest horizon first, ties in trial order
+    assert sorted(order.tolist()) == list(range(stop - start))
+    assert [(-Tr, k) for Tr, k in zip(T.tolist(), order.tolist())] == sorted(
+        (-Tr, k) for Tr, k in zip(T.tolist(), order.tolist()))
+    for r, k in enumerate(order.tolist()):
+        f, Tk, gk = _trial_sequence(seed, start + k, t_max, d)
+        assert (fam[r], T[r]) == (f, Tk)
         # byte comparison: -0.0 entries of sparse trials must survive
-        assert g[b, :Tk].tobytes() == gk.tobytes()
-        assert not np.any(g[b, Tk:])
+        assert g[r, :Tk].tobytes() == gk.tobytes()
+        assert not np.any(g[r, Tk:])
 
 
 @settings(max_examples=80, deadline=None)
@@ -549,6 +565,61 @@ def test_single_sides_match_step_recursion(seed, T, d, grid_index, rhs_coeff):
 def test_single_sides_of_empty_sequence():
     lhs, rhs = _sides(np.zeros((0, 3)), HyperParams())
     assert lhs.tolist() == rhs.tolist() == [0.0, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# inequality sides: the batch kernel's live prefix against the masked loop
+# ---------------------------------------------------------------------------
+
+def _masked_batch_sides(g, t_arr, params, coeffs):
+    """Reference: every row of a zero-padded (B, t_max, d) batch stepped to
+    t_max, with the ratio sum masked to t <= T; coeffs[b] is row b's rhs
+    coefficient, None for the canonical one."""
+    b, t_max, d = g.shape
+    beta1, beta2, lam = (np.array([getattr(p, k) for p in params])[:, None]
+                         for k in ("beta1", "beta2", "lam"))
+    coeff = np.array([_rhs_coefficient(p) if c is None else c for p, c in zip(params, coeffs)])
+    m, v, lhs, sumsq = (np.zeros((b, d)) for _ in range(4))
+    pows = (1.0, 1.0, 1.0)
+    for t in range(1, t_max + 1):
+        gt = g[:, t - 1, :]
+        m, v, m_hat, v_hat, pows = moment_step(m, v, gt, pows, beta1, beta2, lam)
+        sumsq += gt * gt
+        denom = np.sqrt(t * v_hat)
+        live = denom > 0.0
+        term = np.where(live, m_hat * m_hat / np.where(live, denom, 1.0), 0.0)
+        lhs += np.where((t_arr >= t)[:, None], term, 0.0)
+    return lhs, coeff[:, None] * np.sqrt(sumsq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(1, 7), t_max=st.integers(1, 40),
+       d=st.integers(1, 3), rows=st.sampled_from(["one", "repeated", "distinct"]),
+       per_row_coeff=st.booleans())
+def test_batch_sides_live_prefix_matches_masked_loop(seed, b, t_max, d, rows, per_row_coeff):
+    rng = np.random.default_rng(seed)
+    grid = default_fuzz_grid()
+    # horizons 0, 1 and t_max, mixed with any others
+    T = np.where(rng.random(b) < 0.5, rng.choice([0, 1, t_max], b), rng.integers(0, t_max + 1, b))
+    g = rng.uniform(-1.0, 1.0, size=(b, t_max, d)) * 10.0 ** rng.uniform(-8, 0, size=(b, 1, d))
+    g[rng.random((b, t_max, d)) < 0.2] = 0.0
+    g[rng.random(b) < 0.25] = 0.0  # all-zero rows
+    g[np.arange(t_max) >= T[:, None]] = 0.0
+    index = {"one": np.full(b, 4), "repeated": rng.integers(0, 2, b),
+             "distinct": np.arange(b)}[rows]
+    coeffs = [None] * b
+    if per_row_coeff:
+        coeffs = [None if rng.random() < 0.3 else float(rng.uniform(1e-3, 1e3)) for _ in range(b)]
+    params = [grid[i] for i in index]
+    # the layout of _trial_batch, longest horizon first, then any order
+    order = np.argsort(-T, kind="stable")
+    for perm in (order, np.arange(b)):
+        lhs_ref, rhs_ref = _masked_batch_sides(g[perm], T[perm], [params[k] for k in perm],
+                                               [coeffs[k] for k in perm])
+        lhs, rhs = _batch_sides(g[perm], T[perm], grid, [coeffs[k] for k in perm],
+                                grid_index=index[perm])
+        assert lhs.tobytes() == lhs_ref.tobytes()
+        assert rhs.tobytes() == rhs_ref.tobytes()
 
 
 @pytest.mark.parametrize("p", default_fuzz_grid(), ids=lambda p: f"{p.beta1},{p.beta2},{p.lam}")
