@@ -268,6 +268,14 @@ def _rhs_coefficient(p: HyperParams) -> float:
     return 2.0 / ((1.0 - p.gamma) * math.sqrt(1.0 - p.beta2))
 
 
+def _checked_coeff(coeff: float) -> float:
+    """A given rhs coefficient, which stands in for the canonical one and
+    so must be finite and positive like it."""
+    if not (math.isfinite(coeff) and coeff > 0.0):
+        raise ValueError(f"rhs_coeff must be finite and positive, got {coeff}")
+    return coeff
+
+
 def conjecture_sides_exact(
     seq: GradSequence,
     p: HyperParams,
@@ -506,19 +514,31 @@ def load_counterexample(path: str | Path) -> CounterexampleRecord:
         alpha=float(get("alpha")),
     )
     T, d = int(get("T")), int(get("d"))
-    g = np.array(
-        [[float(c) for c in get(f"g{t + 1}").split(",")] for t in range(T)]
-    ).reshape(T, d)
+    if T < 0:
+        raise ValueError(f"{path}: T = {T} is negative")
+
+    def row(key: str) -> list[float]:
+        values = [float(c) for c in get(key).split(",")]
+        if len(values) != d:
+            raise ValueError(f"{path}: {key} has {len(values)} entries, d = {d}")
+        return values
+
+    g = np.array([row(f"g{t + 1}") for t in range(T)]).reshape(T, d)
+    try:
+        seq = GradSequence(d=d, g=g, g_inf_cap=float(get("g_inf_cap")))
+        rhs_coeff = _checked_coeff(float(get("rhs_coeff")))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return CounterexampleRecord(
         label=get("label"),
         params=params,
         T=T,
         d=d,
-        g=g,
-        g_inf_cap=float(get("g_inf_cap")),
-        rhs_coeff=float(get("rhs_coeff")),
-        lhs=np.array([float(c) for c in get("lhs").split(",")]),
-        rhs=np.array([float(c) for c in get("rhs").split(",")]),
+        g=seq.g,
+        g_inf_cap=seq.g_inf_cap,
+        rhs_coeff=rhs_coeff,
+        lhs=np.array(row("lhs")),
+        rhs=np.array(row("rhs")),
         min_slack=float(get("min_slack")),
         exact_min_slack=float(get("exact_min_slack")),
         enclosure=tuple(float(c) for c in get("enclosure").strip("[]").split(",")),
@@ -548,13 +568,18 @@ class FuzzCandidate:
     escalation, and serialization pipeline as random trials.
 
     `rhs_coeff=None` means the canonical coefficient; tests inject synthetic
-    known-violating candidates by shrinking it.
+    known-violating candidates by shrinking it.  A given coefficient must be
+    finite and positive.
     """
 
     label: str
     params: HyperParams
     seq: GradSequence
     rhs_coeff: float | None = None
+
+    def __post_init__(self):
+        if self.rhs_coeff is not None:
+            _checked_coeff(self.rhs_coeff)
 
 
 @dataclass
@@ -699,6 +724,15 @@ def _fill_family(
             flat[(base + pos * d + coord)[live]] = sign[live]
 
 
+# Batches of at most this many cells (rows x width) run as `_scalar_sides`.
+# A cell-step costs about 0.6 us on Python floats and a step of the array
+# loop about 12 us at any small width, so at T = 256 one sequence takes
+# (array loop, then scalar loop) 3.3/0.15 ms at d = 1, 3.1/2.4 ms at
+# d = 16, 3.1/3.5 ms at d = 24 and 3.2/9.6 ms at d = 64 (best of 7, 2-CPU
+# x86-64 machine, one OpenBLAS thread).
+_SCALAR_SIDES_CELLS = 16
+
+
 def _batch_sides(
     g: np.ndarray,
     t_arr: np.ndarray,
@@ -706,7 +740,7 @@ def _batch_sides(
     rhs_coeff: float | list[float | None] | None = None,
     grid_index: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized double-precision sides for a batch of trials.
+    """Double-precision sides for a batch of trials.
 
     Runs `moment_step` (no weight update) and accumulates the ratio sum
     with the 0/0 -> 0 convention: v_hat = 0 forces m_hat = 0.  g is
@@ -715,12 +749,15 @@ def _batch_sides(
     replaces the canonical coefficient of every row, or of each row given
     a list (None keeps the canonical one).
 
-    Rows run longest horizon first, as `_trial_batch` and the injected
-    candidates' batches lay them out; rows in another order run as a
-    sorted copy.  Step t updates only the prefix of rows with T >= t, so
-    nothing beyond a row's horizon is read, and the loop ends with the
-    longest row.  A row's recursion never reads another row, so each row's
-    sides are those of the row alone, bit for bit.
+    A batch of at most `_SCALAR_SIDES_CELLS` (16) cells, a single sequence
+    of width <= 16 included, runs as `_scalar_sides`, one cell at a time on
+    Python floats, with the array loop's bits.  Larger batches run as
+    arrays.  Their rows run longest horizon first, as `_trial_batch` and
+    the injected candidates' batches lay them out; rows in another order
+    run as a sorted copy.  Step t updates only the prefix of rows with
+    T >= t, so nothing beyond a row's horizon is read, and the loop ends
+    with the longest row.  A row's recursion never reads another row, so
+    each row's sides are those of the row alone, bit for bit.
     """
     b, _, d = g.shape
     index = np.arange(b) if grid_index is None else np.asarray(grid_index)
@@ -728,16 +765,17 @@ def _batch_sides(
     if rhs_coeff is not None:
         given = rhs_coeff if isinstance(rhs_coeff, list) else [rhs_coeff] * b
         coeff = np.array([c if r is None else r for c, r in zip(coeff.tolist(), given)])
+    if b * d <= _SCALAR_SIDES_CELLS:
+        return _scalar_sides(g, t_arr, [grid[k] for k in index.tolist()], coeff.tolist())
     order = None
     if np.any(t_arr[1:] > t_arr[:-1]):
         order = np.argsort(-t_arr, kind="stable")
         g, t_arr, index, coeff = g[order], t_arr[order], index[order], coeff[order]
 
     if np.all(index == index[0]):
-        # one parameter set (every B = 1 call): plain-float coefficients
-        # give the same IEEE products as a column of equal entries, and
-        # save the eight small array operations per step that made B = 1
-        # calls about 1.5x slower
+        # one parameter set: plain-float coefficients give the same IEEE
+        # products as a column of equal entries, and save eight small array
+        # operations per step (2048 x 256 x 4: 52-55 against 72-74 ms)
         p = grid[index[0]]
         beta1, beta2, lam, pows = p.beta1, p.beta2, p.lam, (1.0, 1.0, 1.0)
         columns = False
@@ -777,10 +815,42 @@ def _batch_sides(
     return lhs, rhs
 
 
+def _scalar_sides(
+    g: np.ndarray, t_arr: np.ndarray, params: list[HyperParams], coeffs: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_batch_sides`' array loop on Python floats, one cell at a time, in
+    the given row order: row b runs with params[b] and rhs coefficient
+    coeffs[b].
+
+    Every operation is the array loop's IEEE float64 operation, in the same
+    order, so the bits agree.  Where the array loop masks a term out, it
+    adds +0.0 to an lhs that is never -0.0, which leaves the lhs as the
+    skipped term here does.
+    """
+    b, _, d = g.shape
+    lhs = np.zeros((b, d))
+    rhs = np.zeros((b, d))
+    for k, (p, coeff, T) in enumerate(zip(params, coeffs, t_arr.tolist())):
+        beta1, beta2, lam = p.beta1, p.beta2, p.lam
+        for i in range(d):
+            m = v = acc = sumsq = 0.0
+            pows = (1.0, 1.0, 1.0)
+            for t, gt in enumerate(g[k, :T, i].tolist(), start=1):
+                m, v, m_hat, v_hat, pows = moment_step(m, v, gt, pows, beta1, beta2, lam)
+                sumsq += gt * gt
+                denom = math.sqrt(t * v_hat)
+                if denom > 0.0:
+                    acc += m_hat * m_hat / denom
+            lhs[k, i] = acc
+            rhs[k, i] = coeff * math.sqrt(sumsq)
+    return lhs, rhs
+
+
 def _sides(
     g: np.ndarray, p: HyperParams, rhs_coeff: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Double-precision sides of one T x d matrix: the batch of one."""
+    """Double-precision sides of one T x d matrix: the batch of one, which
+    runs as a scalar loop per cell when d <= 16 and as arrays above."""
     lhs, rhs = _batch_sides(g[None], np.array([len(g)]), [p], rhs_coeff)
     return lhs[0], rhs[0]
 
@@ -837,7 +907,11 @@ class _Interval:
 
 class _ScalarInterval(_Interval):
     """`_Interval` on Python floats: for one sequence, a scalar loop is
-    about 8x faster than the same loop on arrays of one element."""
+    about 8x faster than the same loop on arrays of one element, so
+    `_slack_enclosure` runs a batch of one row on it.  Its double-precision
+    twin, `_scalar_sides`, runs every batch of double sides of at most 16
+    cells (a single sequence of width <= 16 included) with the array
+    loop's bits; larger batches run as arrays."""
 
     __slots__ = ()
 

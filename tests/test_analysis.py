@@ -511,6 +511,27 @@ def test_load_counterexample_names_missing_key(tmp_path):
         load_counterexample(path)
 
 
+@pytest.mark.parametrize("key,value,match", [
+    ("g1", "nan,0.5", "finite"),
+    ("g3", "0.25,7.5", "exceeds declared cap"),
+    ("g2", "0.25", "g2 has 1 entries, d = 2"),
+    ("lhs", "0.5,0.25,1.0", "lhs has 3 entries, d = 2"),
+    ("rhs", "2.0", "rhs has 1 entries, d = 2"),
+    ("rhs_coeff", "0", "rhs_coeff must be finite and positive"),
+    ("rhs_coeff", "nan", "rhs_coeff must be finite and positive"),
+])
+def test_load_counterexample_rejects_corrupted_records(tmp_path, key, value, match):
+    # each corruption used to replay silently, to a slack that proves nothing
+    path = tmp_path / "ce.txt"
+    write_counterexample(path, make_record())
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(f"{key} = {value}" if ln.split(" = ")[0] == key else ln
+                              for ln in lines) + "\n")
+    with pytest.raises(ValueError, match=match) as err:
+        replay_counterexample(path)
+    assert str(err.value).startswith(str(path)) and "\n" not in str(err.value)
+
+
 def test_replay_counterexample_reproduces_slack(tmp_path):
     rec = make_record()
     path = tmp_path / "ce.txt"
@@ -579,6 +600,16 @@ def test_fuzz_injected_synthetic_violation_is_detected(tmp_path):
     loaded, recomputed = replay_counterexample(violation.path)
     assert loaded.min_slack < 0
     assert recomputed == pytest.approx(loaded.min_slack, rel=1e-12)
+
+
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_fuzz_candidate_rejects_nonpositive_or_nonfinite_coeff(coeff):
+    # it stands in for 2/((1-gamma) sqrt(1-beta2)) > 0: NaN or inf dropped
+    # the candidate from near_misses, 0 or -1 "confirmed" it
+    seq = GradSequence(d=1, g=seeded_rng(73).uniform(-1.0, 1.0, size=24), g_inf_cap=1.0)
+    with pytest.raises(ValueError, match="rhs_coeff must be finite and positive") as err:
+        FuzzCandidate(label="bad", params=HyperParams(), seq=seq, rhs_coeff=coeff)
+    assert "\n" not in str(err.value)
 
 
 def test_fuzz_injected_honest_candidate_is_not_flagged(tmp_path):

@@ -532,15 +532,31 @@ def _sides_f64(g, p, rhs_coeff=None):
     return lhs, coeff * np.sqrt(sumsq)
 
 
+def _edge_gradients(rng, shape):
+    """Uniform entries with a scale per column (the last axis): 10**[-8, 0],
+    1e-170 (g * g underflows, so v_hat = 0 while g != 0) or subnormal
+    (multiples of 5e-324); a fifth of the entries are zeros of either sign."""
+    cols = shape[:-2] + (1, shape[-1])
+    scale = np.choose(rng.integers(0, 3, size=cols),
+                      (10.0 ** rng.uniform(-8, 0, size=cols), 1e-170, 2e-322))
+    g = rng.uniform(-1.0, 1.0, size=shape) * scale
+    zero = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    return np.where(rng.random(shape) < 0.2, zero, g)
+
+
+# widths on both sides of the scalar loop's 16 cells, for one sequence (d)
+# and for a pair (2 d)
+SIDES_WIDTHS = st.one_of(st.integers(1, 5), st.sampled_from([8, 9, 15, 16, 17]))
+
+
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 300), d=st.integers(1, 5),
+@given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(0, 300), d=SIDES_WIDTHS,
        grid_index=st.integers(0, len(default_fuzz_grid()) - 1),
        rhs_coeff=st.one_of(st.none(), st.floats(1e-3, 1e3)))
 def test_single_sides_match_step_recursion(seed, T, d, grid_index, rhs_coeff):
     rng = np.random.default_rng(seed)
-    g = rng.uniform(-1.0, 1.0, size=(T, d)) * 10.0 ** rng.uniform(-8, 0, size=d)
+    g = _edge_gradients(rng, (T, d))
     g[:, rng.random(d) < 0.3] = 0.0  # zero columns: the 0/0 -> 0 convention
-    g[rng.random((T, d)) < 0.2] = 0.0
     grid = default_fuzz_grid()
     p = grid[grid_index]
     lhs_ref, rhs_ref = _sides_f64(g, p, rhs_coeff)
@@ -550,7 +566,7 @@ def test_single_sides_match_step_recursion(seed, T, d, grid_index, rhs_coeff):
     # in a batch with another parameter set and a shorter, zero-padded
     # trial, the coefficients are columns and the short trial stops at T2
     other = grid[(grid_index + 1) % len(grid)]
-    T2 = 1 + seed % T
+    T2 = seed % (T + 1)
     short = np.zeros_like(g)
     short[:T2] = g[:T2]
     lhs2, rhs2 = _batch_sides(np.stack([g, short]), np.array([T, T2]), [p, other], rhs_coeff)
@@ -593,20 +609,23 @@ def _masked_batch_sides(g, t_arr, params, coeffs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(1, 7), t_max=st.integers(1, 40),
-       d=st.integers(1, 3), rows=st.sampled_from(["one", "repeated", "distinct"]),
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.one_of(st.tuples(st.integers(1, 7), st.integers(1, 3)),
+                       st.sampled_from([(15, 1), (5, 3), (16, 1), (8, 2), (4, 4), (17, 1),
+                                        (1, 17)])),
+       t_max=st.integers(1, 40), rows=st.sampled_from(["one", "repeated", "distinct"]),
        per_row_coeff=st.booleans())
-def test_batch_sides_live_prefix_matches_masked_loop(seed, b, t_max, d, rows, per_row_coeff):
+def test_batch_sides_live_prefix_matches_masked_loop(seed, shape, t_max, rows, per_row_coeff):
+    b, d = shape  # b * d cells: 15, 16 and 17 lie on both sides of the scalar loop's rule
     rng = np.random.default_rng(seed)
     grid = default_fuzz_grid()
     # horizons 0, 1 and t_max, mixed with any others
     T = np.where(rng.random(b) < 0.5, rng.choice([0, 1, t_max], b), rng.integers(0, t_max + 1, b))
-    g = rng.uniform(-1.0, 1.0, size=(b, t_max, d)) * 10.0 ** rng.uniform(-8, 0, size=(b, 1, d))
-    g[rng.random((b, t_max, d)) < 0.2] = 0.0
+    g = _edge_gradients(rng, (b, t_max, d))
     g[rng.random(b) < 0.25] = 0.0  # all-zero rows
     g[np.arange(t_max) >= T[:, None]] = 0.0
     index = {"one": np.full(b, 4), "repeated": rng.integers(0, 2, b),
-             "distinct": np.arange(b)}[rows]
+             "distinct": np.arange(b) % len(grid)}[rows]
     coeffs = [None] * b
     if per_row_coeff:
         coeffs = [None if rng.random() < 0.3 else float(rng.uniform(1e-3, 1e3)) for _ in range(b)]
